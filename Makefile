@@ -4,12 +4,21 @@ GO      ?= go
 BIN     ?= bin
 VETTOOL := $(BIN)/mdrep-lint
 
-.PHONY: all build test race chaos walk obs flight sim shard lint lint-allow lint-fix vet fmt bench bench-json bench-gate clean
+.PHONY: all build perfbench-build test race chaos walk obs flight sim shard lint lint-allow lint-fix vet fmt bench bench-json bench-gate clean
 
-all: build lint test
+all: build perfbench-build lint test
 
 build:
 	$(GO) build ./...
+
+# perfbench-build vets and compiles the end-to-end benchmark. perfbench/
+# is a module of its own, so the root build and vet never compile it and
+# an internal API change could break it unnoticed. The settings match
+# perfbench/run.sh. Its tests start TCP rings and take about 45 s, so
+# they are left to the benchmark's own runs.
+perfbench-build:
+	cd perfbench && GOFLAGS=-mod=readonly GOPROXY=off $(GO) vet . && \
+		GOFLAGS=-mod=readonly GOPROXY=off $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -136,7 +145,7 @@ bench:
 # run down, so min-of-N damps the noise a single long run cannot.
 # Five repeats, not three: fsync-bound and sub-microsecond benchmarks
 # still flapped past the 15% gate run-to-run at min-of-3 on 1-CPU hosts.
-BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate
+BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate|BenchmarkTCPRoundTrip
 BENCH_COUNT := 5
 BENCH_TIME  := 0.5s
 

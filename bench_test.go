@@ -11,6 +11,7 @@ package mdrep_test
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -27,6 +28,8 @@ import (
 	"mdrep/internal/sim"
 	"mdrep/internal/sparse"
 	"mdrep/internal/trace"
+	"mdrep/internal/walk"
+	"mdrep/internal/wire"
 )
 
 // --- Figure 1 -------------------------------------------------------------
@@ -409,6 +412,48 @@ func BenchmarkDHTPublish(b *testing.B) {
 		}
 		if err := ring.Nodes[i%64].Publish([]dht.StoredRecord{rec}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTCPRoundTrip measures one DHT RPC over loopback TCP: a
+// TCPClient.Retrieve of one TM-row record from a single node. The row is
+// the one of median length in the walk-dht matrix (n=2000, seed 1), so
+// the reply is the size a random walk fetches on a typical hop.
+func BenchmarkTCPRoundTrip(b *testing.B) {
+	tm, err := walk.RandomTM(2000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	users := make([]int, tm.N())
+	for u := range users {
+		users[u] = u
+	}
+	sort.SliceStable(users, func(x, y int) bool { return tm.RowNNZ(users[x]) < tm.RowNNZ(users[y]) })
+	user := users[len(users)/2]
+	cols, vals := tm.RowCopy(user)
+	rec, err := walk.RowRecord(&wire.TMRow{User: int32(user), N: int32(tm.N()), Epoch: 1, Cols: cols, Vals: vals})
+	if err != nil {
+		b.Fatal(err)
+	}
+	client := dht.NewTCPClient()
+	defer func() { _ = client.Close() }()
+	srv, err := dht.ServeTCPNode("127.0.0.1:0", client, dht.NodeConfig{SuccessorListLen: 3, Storage: dht.NewStorage(0, nil)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	if err := client.Store(obs.SpanContext{}, srv.Addr(), []dht.StoredRecord{rec}, false); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recs, err := client.Retrieve(obs.SpanContext{}, srv.Addr(), rec.Key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) != 1 {
+			b.Fatalf("retrieved %d records, want 1", len(recs))
 		}
 	}
 }

@@ -65,7 +65,9 @@ func serve(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	client := dht.NewRetryClient(dht.NewTCPClient(), dht.DefaultRetryPolicy(), uint64(os.Getpid()))
+	tcp := dht.NewTCPClient()
+	defer func() { _ = tcp.Close() }()
+	client := dht.NewRetryClient(tcp, dht.DefaultRetryPolicy(), uint64(os.Getpid()))
 	var reg *metrics.Registry
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
@@ -132,7 +134,9 @@ func put(args []string) error {
 	if err := info.Sign(owner); err != nil {
 		return err
 	}
-	client := dht.NewRetryClient(dht.NewTCPClient(), dht.DefaultRetryPolicy(), uint64(os.Getpid()))
+	tcp := dht.NewTCPClient()
+	defer func() { _ = tcp.Close() }()
+	client := dht.NewRetryClient(tcp, dht.DefaultRetryPolicy(), uint64(os.Getpid()))
 	key := dht.HashKey(*file)
 	root, err := client.FindSuccessor(obs.SpanContext{}, *node, key)
 	if err != nil {
@@ -155,7 +159,9 @@ func get(args []string) error {
 	if *file == "" {
 		return fmt.Errorf("get: -file is required")
 	}
-	client := dht.NewRetryClient(dht.NewTCPClient(), dht.DefaultRetryPolicy(), uint64(os.Getpid()))
+	tcp := dht.NewTCPClient()
+	defer func() { _ = tcp.Close() }()
+	client := dht.NewRetryClient(tcp, dht.DefaultRetryPolicy(), uint64(os.Getpid()))
 	key := dht.HashKey(*file)
 	root, err := client.FindSuccessor(obs.SpanContext{}, *node, key)
 	if err != nil {
@@ -184,7 +190,9 @@ func demo(args []string) error {
 	if *nodes < 2 {
 		return fmt.Errorf("demo needs at least 2 nodes")
 	}
-	client := dht.NewRetryClient(dht.NewTCPClient(), dht.DefaultRetryPolicy(), uint64(os.Getpid()))
+	tcp := dht.NewTCPClient()
+	defer func() { _ = tcp.Close() }()
+	client := dht.NewRetryClient(tcp, dht.DefaultRetryPolicy(), uint64(os.Getpid()))
 	ring := make([]*dht.TCPNodeServer, 0, *nodes)
 	defer func() {
 		for _, srv := range ring {

@@ -236,6 +236,7 @@ func serve(args []string) error {
 	}
 	resolver := peer.NewStaticResolver()
 	network := peer.NewTCPExchange(resolver)
+	defer func() { _ = network.Close() }()
 	xobs := peer.NewExchangeObs(reg)
 	network.Instrument(xobs)
 	p, err := peer.New(id, dir, network, peer.DefaultConfig())
@@ -313,7 +314,9 @@ func trust(args []string) error {
 		return err
 	}
 	resolver := peer.NewStaticResolver()
-	p, err := peer.New(id, dir, peer.NewTCPExchange(resolver), peer.DefaultConfig())
+	network := peer.NewTCPExchange(resolver)
+	defer func() { _ = network.Close() }()
+	p, err := peer.New(id, dir, network, peer.DefaultConfig())
 	if err != nil {
 		return err
 	}

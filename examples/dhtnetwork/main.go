@@ -35,6 +35,7 @@ func run() error {
 
 	// Six verifying DHT nodes over loopback TCP.
 	client := dht.NewTCPClient()
+	defer func() { _ = client.Close() }()
 	const n = 6
 	servers := make([]*dht.TCPNodeServer, 0, n)
 	defer func() {

@@ -3,7 +3,7 @@ package dht
 import (
 	"errors"
 	"fmt"
-	"net"
+	"io"
 	"sync"
 	"time"
 
@@ -13,11 +13,14 @@ import (
 )
 
 // The TCP transport frames each message with internal/wire (length-
-// prefixed JSON). One request/response pair per connection keeps the
-// protocol trivially robust to peer churn; the dial cost is irrelevant
-// next to file transfer times in the target workload. Sampled requests
-// carry a wire.TraceContext header in the Trace field, so the server
-// side continues the caller's trace.
+// prefixed JSON) and runs each RPC as one request/response exchange over
+// a persistent connection: the client pools idle connections per node
+// address and the server serves requests on a connection until the
+// client closes it. A lookup walks several nodes and a random walk
+// retrieves many rows, so most RPCs reuse a connection instead of paying
+// a TCP handshake each. Sampled requests carry a wire.TraceContext
+// header in the Trace field, so the server side continues the caller's
+// trace.
 
 type wireRequest struct {
 	Method    string         `json:"method"`
@@ -36,18 +39,25 @@ type wireResponse struct {
 	Records []StoredRecord `json:"records,omitempty"`
 }
 
-// TCPClient implements Client over TCP.
+// TCPClient implements Client over TCP, keeping idle connections to
+// each node for later calls.
 type TCPClient struct {
 	// DialTimeout bounds connection establishment.
 	DialTimeout time.Duration
 	// CallTimeout bounds a full request/response exchange.
 	CallTimeout time.Duration
+
+	pool wire.Pool
 }
 
 // NewTCPClient returns a client with 2s dial and 5s call timeouts.
 func NewTCPClient() *TCPClient {
 	return &TCPClient{DialTimeout: 2 * time.Second, CallTimeout: 5 * time.Second}
 }
+
+// Close closes the client's idle connections. Calls after Close still
+// work, each on a connection of its own.
+func (c *TCPClient) Close() error { return c.pool.Close() }
 
 // call runs one framed exchange inside an RPC span: a child of sc when
 // the caller is traced, a fresh root otherwise, with the span context
@@ -58,20 +68,18 @@ func (c *TCPClient) call(sc obs.SpanContext, spanName, addr string, req wireRequ
 	defer func() { sp.EndErr(err) }()
 	req.Trace = sp.Context().MarshalWire()
 
-	conn, err := net.DialTimeout("tcp", addr, c.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("%w: dial %s: %v", ErrNodeUnreachable, addr, err)
-	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.SetDeadline(time.Now().Add(c.CallTimeout)); err != nil { //mdrep:allow wallclock: I/O deadline on a live socket, not replayed state
-		return nil, err
-	}
-	if err := wire.WriteFrame(conn, req); err != nil {
-		return nil, fmt.Errorf("%w: send to %s: %v", ErrNodeUnreachable, addr, err)
-	}
 	var r wireResponse
-	if err := wire.ReadFrame(conn, &r); err != nil {
-		return nil, fmt.Errorf("%w: recv from %s: %v", ErrNodeUnreachable, addr, err)
+	err = c.pool.Do(addr, c.DialTimeout, c.CallTimeout, func(rw io.ReadWriter) error {
+		if err := wire.WriteFrame(rw, req); err != nil {
+			return fmt.Errorf("send to %s: %w", addr, err)
+		}
+		if err := wire.ReadFrame(rw, &r); err != nil {
+			return fmt.Errorf("recv from %s: %w", addr, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrNodeUnreachable, err)
 	}
 	if r.Error != "" {
 		return nil, fault.Terminal(errors.New(r.Error))
@@ -137,13 +145,10 @@ var _ Client = (*TCPClient)(nil)
 
 // TCPServer serves a node's handler over TCP.
 type TCPServer struct {
-	listener net.Listener
+	srv *wire.Server
 
 	mu      sync.Mutex
 	handler handler
-	conns   map[net.Conn]struct{}
-	closing bool
-	wg      sync.WaitGroup
 }
 
 // setHandler attaches (or replaces) the handler; requests arriving while
@@ -163,65 +168,27 @@ func (s *TCPServer) getHandler() handler {
 // ServeTCP starts serving h on addr (e.g. "127.0.0.1:0") and returns the
 // running server; Addr reports the bound address. The caller must Close.
 func ServeTCP(addr string, h handler) (*TCPServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := &TCPServer{handler: h}
+	srv, err := wire.Serve(addr, s.serve)
 	if err != nil {
 		return nil, fmt.Errorf("dht: listen %s: %w", addr, err)
 	}
-	s := &TCPServer{listener: ln, handler: h, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.srv = srv
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *TCPServer) Addr() string { return s.listener.Addr().String() }
+func (s *TCPServer) Addr() string { return s.srv.Addr() }
 
-// Close stops the listener and all in-flight connections, then waits for
-// the serving goroutines to exit.
-func (s *TCPServer) Close() error {
-	s.mu.Lock()
-	s.closing = true
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	err := s.listener.Close()
-	s.wg.Wait()
-	return err
-}
+// Close stops the listener and all connections, then waits for the
+// requests being served to finish.
+func (s *TCPServer) Close() error { return s.srv.Close() }
 
-func (s *TCPServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *TCPServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second)) //mdrep:allow wallclock: I/O deadline on a live socket, not replayed state
+// serve answers one request read from rw.
+func (s *TCPServer) serve(rw io.ReadWriter) error {
 	var req wireRequest
-	if err := wire.ReadFrame(conn, &req); err != nil {
-		return
+	if err := wire.ReadFrame(rw, &req); err != nil {
+		return err
 	}
 	// A corrupt or absent trace header yields the zero context, and the
 	// serve span roots a trace of its own — tracing never fails a
@@ -231,8 +198,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	h := s.getHandler()
 	if h == nil {
 		sp.EndErr(errors.New("dht: node not attached yet")) //mdrep:allow faultwrap: feeds the serve span's status only, never returned to a retry loop
-		_ = wire.WriteFrame(conn, wireResponse{Error: "dht: node not attached yet"})
-		return
+		return wire.WriteFrame(rw, wireResponse{Error: "dht: node not attached yet"})
 	}
 	resp := s.dispatch(h, req, sp.Context())
 	if resp.Error != "" {
@@ -240,7 +206,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	} else {
 		sp.End()
 	}
-	_ = wire.WriteFrame(conn, resp)
+	return wire.WriteFrame(rw, resp)
 }
 
 func (s *TCPServer) dispatch(h handler, req wireRequest, sc obs.SpanContext) wireResponse {

@@ -1,10 +1,13 @@
 package dht
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/fault"
 	"mdrep/internal/identity"
 	"mdrep/internal/obs"
 )
@@ -165,5 +168,68 @@ func TestTCPServerRejectsUnknownMethod(t *testing.T) {
 	c := NewTCPClient()
 	if _, err := c.call(obs.SpanContext{}, spanServe, srv.Addr(), wireRequest{Method: "bogus"}); err == nil {
 		t.Fatal("unknown method accepted")
+	}
+}
+
+func TestTCPClientSurvivesServerRestart(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", nullHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	c := NewTCPClient()
+	defer func() { _ = c.Close() }()
+	if err := c.Ping(obs.SpanContext{}, addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv, err = ServeTCP(addr, nullHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	// The pooled connection died with the first server; the client
+	// re-sends on a fresh dial instead of failing the RPC.
+	if err := c.Ping(obs.SpanContext{}, addr); err != nil {
+		t.Fatalf("ping after restart: %v", err)
+	}
+}
+
+// stallingHandler blocks every Retrieve until release is closed.
+type stallingHandler struct {
+	nullHandler
+	release   chan struct{}
+	retrieves atomic.Int64
+}
+
+func (h *stallingHandler) HandleRetrieve(ID) []StoredRecord {
+	h.retrieves.Add(1)
+	<-h.release
+	return nil
+}
+
+func TestTCPClientStalledHandlerTimesOutRetryably(t *testing.T) {
+	h := &stallingHandler{release: make(chan struct{})}
+	srv, err := ServeTCP("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &TCPClient{DialTimeout: time.Second, CallTimeout: 100 * time.Millisecond}
+	defer func() { _ = c.Close() }()
+	if err := c.Ping(obs.SpanContext{}, srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Retrieve(obs.SpanContext{}, srv.Addr(), 7)
+	if !errors.Is(err, ErrNodeUnreachable) || !fault.Retryable(err) {
+		t.Fatalf("stalled retrieve: err = %v, want a retryable ErrNodeUnreachable", err)
+	}
+	close(h.release)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := h.retrieves.Load(); n != 1 {
+		t.Fatalf("server saw the timed-out retrieve %d times, want 1", n)
 	}
 }

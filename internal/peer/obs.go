@@ -1,7 +1,7 @@
 package peer
 
 import (
-	"net"
+	"io"
 
 	"mdrep/internal/metrics"
 )
@@ -31,13 +31,13 @@ func NewExchangeObs(reg *metrics.Registry) *ExchangeObs {
 	}
 }
 
-// wrap decorates conn so reads and writes tally into the observer; a nil
-// observer returns conn unchanged.
-func (o *ExchangeObs) wrap(conn net.Conn) net.Conn {
+// wrap decorates rw so reads and writes tally into the observer; a nil
+// observer returns rw unchanged.
+func (o *ExchangeObs) wrap(rw io.ReadWriter) io.ReadWriter {
 	if o == nil {
-		return conn
+		return rw
 	}
-	return countingConn{Conn: conn, obs: o}
+	return countingRW{rw: rw, obs: o}
 }
 
 func (o *ExchangeObs) countFetch() {
@@ -52,20 +52,20 @@ func (o *ExchangeObs) countServe() {
 	}
 }
 
-// countingConn tallies wire traffic around an inner net.Conn.
-type countingConn struct {
-	net.Conn
+// countingRW tallies wire traffic around an inner stream.
+type countingRW struct {
+	rw  io.ReadWriter
 	obs *ExchangeObs
 }
 
-func (c countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
+func (c countingRW) Read(p []byte) (int, error) {
+	n, err := c.rw.Read(p)
 	c.obs.bytesIn.Add(uint64(n))
 	return n, err
 }
 
-func (c countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
+func (c countingRW) Write(p []byte) (int, error) {
+	n, err := c.rw.Write(p)
 	c.obs.bytesOut.Add(uint64(n))
 	return n, err
 }

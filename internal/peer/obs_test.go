@@ -18,7 +18,6 @@ func TestExchangeByteCounters(t *testing.T) {
 	network := NewTCPExchange(resolver)
 	reg := metrics.NewRegistry()
 	xobs := NewExchangeObs(reg)
-	network.Instrument(xobs)
 
 	id, err := identity.Generate(identity.NewDeterministicReader(41))
 	if err != nil {
@@ -36,16 +35,32 @@ func TestExchangeByteCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = srv.Close() }()
-	srv.Instrument(xobs)
 	resolver.Set(p.ID(), srv.Addr())
+	fetch := func() {
+		t.Helper()
+		infos, err := network.FetchEvaluations(obs.SpanContext{}, p.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != 1 {
+			t.Fatalf("fetched %d evaluations, want 1", len(infos))
+		}
+	}
 
-	infos, err := network.FetchEvaluations(obs.SpanContext{}, p.ID())
-	if err != nil {
+	// An uncounted fetch opens the pooled connection; instrumenting both
+	// sides afterwards must still count the two fetches made over it.
+	fetch()
+	network.Instrument(xobs)
+	srv.Instrument(xobs)
+	fetch()
+	fetch()
+	// The client holds the whole reply before the server has counted
+	// its own write; once both sides are closed every byte is counted.
+	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) != 1 {
-		t.Fatalf("fetched %d evaluations, want 1", len(infos))
+	if err := network.Close(); err != nil {
+		t.Fatal(err)
 	}
 
 	in := reg.Counter("peer_exchange_bytes_total", "dir", "in").Load()
@@ -54,15 +69,15 @@ func TestExchangeByteCounters(t *testing.T) {
 		t.Fatalf("byte counters not moving: in=%d out=%d", in, out)
 	}
 	// Client and server share the observer, so both directions see the
-	// request and the response; the totals must match exactly.
+	// requests and the responses; the totals must match exactly.
 	if in != out {
 		t.Fatalf("in=%d != out=%d with a shared observer", in, out)
 	}
-	if got := reg.Counter("peer_exchange_fetches_total").Load(); got != 1 {
-		t.Errorf("fetches = %d, want 1", got)
+	if got := reg.Counter("peer_exchange_fetches_total").Load(); got != 2 {
+		t.Errorf("fetches = %d, want 2", got)
 	}
-	if got := reg.Counter("peer_exchange_serves_total").Load(); got != 1 {
-		t.Errorf("serves = %d, want 1", got)
+	if got := reg.Counter("peer_exchange_serves_total").Load(); got != 2 {
+		t.Errorf("serves = %d, want 2", got)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -295,29 +296,44 @@ func (p *Peer) SyncPeer(target identity.PeerID) (n int, err error) {
 	return len(list), nil
 }
 
-// fileTrustLocked computes FT against a cached list (Eq. 2).
-func (p *Peer) fileTrustLocked(list map[eval.FileID]float64) float64 {
-	mine := p.store.Snapshot(p.now)
-	if len(mine) == 0 || len(list) == 0 {
-		return 0
-	}
-	sum, m := 0.0, 0
-	for f, theirs := range list {
-		ours, ok := mine[f]
-		if !ok {
-			continue
+// fileTrust computes FT of one synced list against our own evaluations
+// (Eq. 2). It sums |ours − theirs| in ascending file order, so the same
+// records give the same bits on every call.
+func fileTrust(mine, list map[eval.FileID]float64) float64 {
+	shared := make([]eval.FileID, 0, len(list))
+	for f := range list {
+		if _, ok := mine[f]; ok {
+			shared = append(shared, f)
 		}
-		sum += math.Abs(ours - theirs)
-		m++
 	}
-	if m == 0 {
+	if len(shared) == 0 {
 		return 0
 	}
-	ft := 1 - sum/float64(m)
+	slices.Sort(shared)
+	sum := 0.0
+	for _, f := range shared {
+		sum += math.Abs(mine[f] - list[f])
+	}
+	ft := 1 - sum/float64(len(shared))
 	if ft < 0 {
 		return 0
 	}
 	return ft
+}
+
+// sumInKeyOrder adds m's values in ascending key order, so a dimension's
+// total, and every trust value normalised by it, is bit-reproducible.
+func sumInKeyOrder(m map[identity.PeerID]float64) float64 {
+	keys := make([]identity.PeerID, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	total := 0.0
+	for _, k := range keys {
+		total += m[k]
+	}
+	return total
 }
 
 // TrustRow returns the peer's one-step direct trust in every known peer:
@@ -328,19 +344,17 @@ func (p *Peer) TrustRow() map[identity.PeerID]float64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 
+	mine := p.store.Snapshot(p.now)
 	ft := make(map[identity.PeerID]float64, len(p.lists))
-	var ftTotal float64
 	for target, list := range p.lists {
 		if _, bad := p.banned[target]; bad {
 			continue
 		}
-		if v := p.fileTrustLocked(list); v > 0 {
+		if v := fileTrust(mine, list); v > 0 {
 			ft[target] = v
-			ftTotal += v
 		}
 	}
 	vd := make(map[identity.PeerID]float64, len(p.downBy))
-	var vdTotal float64
 	floor := p.cfg.Reputation.Retention.Floor
 	for target, entries := range p.downBy {
 		if _, bad := p.banned[target]; bad {
@@ -356,20 +370,18 @@ func (p *Peer) TrustRow() map[identity.PeerID]float64 {
 		}
 		if total > 0 {
 			vd[target] = total
-			vdTotal += total
 		}
 	}
 	ut := make(map[identity.PeerID]float64, len(p.rating))
-	var utTotal float64
 	for target, v := range p.rating {
 		if v > 0 {
 			ut[target] = v
-			utTotal += v
 		}
 	}
 
 	row := make(map[identity.PeerID]float64)
-	add := func(m map[identity.PeerID]float64, total, weight float64) {
+	add := func(m map[identity.PeerID]float64, weight float64) {
+		total := sumInKeyOrder(m)
 		if total <= 0 || weight <= 0 {
 			return
 		}
@@ -377,9 +389,9 @@ func (p *Peer) TrustRow() map[identity.PeerID]float64 {
 			row[target] += weight * v / total
 		}
 	}
-	add(ft, ftTotal, p.cfg.Reputation.Alpha)
-	add(vd, vdTotal, p.cfg.Reputation.Beta)
-	add(ut, utTotal, p.cfg.Reputation.Gamma)
+	add(ft, p.cfg.Reputation.Alpha)
+	add(vd, p.cfg.Reputation.Beta)
+	add(ut, p.cfg.Reputation.Gamma)
 	return row
 }
 

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -230,6 +231,53 @@ func TestJudgeFileEndToEnd(t *testing.T) {
 	}
 	if !j.Known || !j.Fake {
 		t.Fatalf("fake not identified: %+v", j)
+	}
+}
+
+// TestJudgeFileBitReproducible judges the same records 50 times and
+// expects one R_f bit pattern: every float sum behind TrustRow must run
+// in a fixed order, never in map order.
+func TestJudgeFileBitReproducible(t *testing.T) {
+	const owners, files, perOwner = 32, 256, 48
+	peers, _, _ := testnet(t, owners+1, DefaultConfig())
+	judge := peers[0]
+	file := func(f int) eval.FileID { return eval.FileID(fmt.Sprintf("file-%03d", f)) }
+	for f := 0; f < files; f++ {
+		judge.Vote(file(f), float64(f*37%101)/100)
+	}
+	var records []eval.Info
+	for o, p := range peers[1:] {
+		for k := 0; k < perOwner; k++ {
+			f := (o*7 + k*5) % files
+			p.Vote(file(f), float64((o*13+f*29)%103)/102)
+		}
+		p.Vote("target", float64(o%10)/9)
+		if _, err := judge.SyncPeer(p.ID()); err != nil {
+			t.Fatal(err)
+		}
+		infos, err := p.SignedEvaluations()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, in := range infos {
+			if in.FileID == "target" {
+				records = append(records, in)
+			}
+		}
+	}
+	seen := make(map[uint64]int)
+	for i := 0; i < 50; i++ {
+		j, err := judge.JudgeFile(records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.Known {
+			t.Fatalf("judgement %d: no verdict from %d records", i, len(records))
+		}
+		seen[math.Float64bits(j.Reputation)]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("50 judgements of the same records gave %d R_f bit patterns: %v", len(seen), seen)
 	}
 }
 

@@ -2,7 +2,7 @@ package peer
 
 import (
 	"fmt"
-	"net"
+	"io"
 	"sync"
 	"time"
 
@@ -14,8 +14,9 @@ import (
 )
 
 // The TCP exchange lets participants fetch each other's signed evaluation
-// lists over the network (§4.1 step 4). The protocol is a single
-// request/response per connection using internal/wire framing:
+// lists over the network (§4.1 step 4). Each fetch is one
+// request/response exchange in internal/wire framing, over a connection
+// the client keeps for later fetches from the same peer:
 //
 //	→ {"method":"evaluations"}
 //	← {"evaluations":[EvaluationInfo…]} | {"error":"…"}
@@ -70,13 +71,15 @@ func (r *StaticResolver) Resolve(id identity.PeerID) (string, error) {
 
 var _ Resolver = (*StaticResolver)(nil)
 
-// TCPExchange implements Network over TCP.
+// TCPExchange implements Network over TCP, keeping idle connections to
+// each peer for later fetches.
 type TCPExchange struct {
 	resolver Resolver
 	// DialTimeout and CallTimeout bound each fetch.
 	DialTimeout, CallTimeout time.Duration
 
-	obs *ExchangeObs
+	obs  *ExchangeObs
+	pool wire.Pool
 }
 
 // Instrument counts fetches and wire bytes into o. Call before the
@@ -88,6 +91,10 @@ func NewTCPExchange(resolver Resolver) *TCPExchange {
 	return &TCPExchange{resolver: resolver, DialTimeout: 2 * time.Second, CallTimeout: 5 * time.Second}
 }
 
+// Close closes the exchange's idle connections. Fetches after Close
+// still work, each on a connection of its own.
+func (e *TCPExchange) Close() error { return e.pool.Close() }
+
 // FetchEvaluations implements Network.
 func (e *TCPExchange) FetchEvaluations(sc obs.SpanContext, target identity.PeerID) (infos []eval.Info, err error) {
 	sp := obs.StartSpan(sc, spanFetch)
@@ -97,24 +104,23 @@ func (e *TCPExchange) FetchEvaluations(sc obs.SpanContext, target identity.PeerI
 	if err != nil {
 		return nil, err
 	}
-	raw, err := net.DialTimeout("tcp", addr, e.DialTimeout)
+	req := exchangeRequest{Method: "evaluations", Trace: sp.Context().MarshalWire()}
+	var resp exchangeResponse
+	err = e.pool.Do(addr, e.DialTimeout, e.CallTimeout, func(rw io.ReadWriter) error {
+		e.obs.countFetch()
+		rw = e.obs.wrap(rw)
+		if err := wire.WriteFrame(rw, req); err != nil {
+			return fmt.Errorf("send to %s: %w", addr, err)
+		}
+		if err := wire.ReadFrame(rw, &resp); err != nil {
+			return fmt.Errorf("recv from %s: %w", addr, err)
+		}
+		return nil
+	})
 	if err != nil {
 		// Transport failures are tagged retryable (fault.ErrUnreachable);
 		// an explicit error frame from the peer below stays terminal.
-		return nil, fault.Unreachable(fmt.Errorf("peer: dial %s (%s): %w", target, addr, err))
-	}
-	defer func() { _ = raw.Close() }()
-	e.obs.countFetch()
-	conn := e.obs.wrap(raw)
-	if err := conn.SetDeadline(time.Now().Add(e.CallTimeout)); err != nil { //mdrep:allow wallclock: I/O deadline on a live socket, not replayed state
-		return nil, err
-	}
-	if err := wire.WriteFrame(conn, exchangeRequest{Method: "evaluations", Trace: sp.Context().MarshalWire()}); err != nil {
-		return nil, fault.Unreachable(fmt.Errorf("peer: send to %s: %w", target, err))
-	}
-	var resp exchangeResponse
-	if err := wire.ReadFrame(conn, &resp); err != nil {
-		return nil, fault.Unreachable(fmt.Errorf("peer: recv from %s: %w", target, err))
+		return nil, fault.Unreachable(fmt.Errorf("peer: %s: %w", target, err))
 	}
 	if resp.Error != "" {
 		return nil, fault.Terminal(fmt.Errorf("peer: %s: %s", target, resp.Error))
@@ -126,103 +132,65 @@ var _ Network = (*TCPExchange)(nil)
 
 // ExchangeServer serves one peer's evaluation list over TCP.
 type ExchangeServer struct {
-	listener net.Listener
-	source   func() ([]eval.Info, error)
+	srv    *wire.Server
+	source func() ([]eval.Info, error)
 
-	mu      sync.Mutex
-	obs     *ExchangeObs
-	conns   map[net.Conn]struct{}
-	closing bool
-	wg      sync.WaitGroup
+	mu  sync.Mutex
+	obs *ExchangeObs
 }
 
-// Instrument counts served requests and wire bytes into o. Connections
-// already in flight keep their uninstrumented view.
+// Instrument counts served requests and wire bytes into o, from the
+// next request to arrive on, also on connections already open.
 func (s *ExchangeServer) Instrument(o *ExchangeObs) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.obs = o
 }
 
+func (s *ExchangeServer) observer() *ExchangeObs {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.obs
+}
+
 // ServeExchange listens on addr (":0" for ephemeral) and serves the
 // evaluation list produced by source — typically (*Peer).SignedEvaluations.
 func ServeExchange(addr string, source func() ([]eval.Info, error)) (*ExchangeServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := &ExchangeServer{source: source}
+	srv, err := wire.Serve(addr, s.serve)
 	if err != nil {
 		return nil, fault.Terminal(fmt.Errorf("peer: listen %s: %w", addr, err))
 	}
-	s := &ExchangeServer{listener: ln, source: source, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s.srv = srv
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *ExchangeServer) Addr() string { return s.listener.Addr().String() }
+func (s *ExchangeServer) Addr() string { return s.srv.Addr() }
 
-// Close stops the listener and waits for in-flight requests.
-func (s *ExchangeServer) Close() error {
-	s.mu.Lock()
-	s.closing = true
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	err := s.listener.Close()
-	s.wg.Wait()
-	return err
-}
+// Close stops the listener and all connections, then waits for the
+// requests being served to finish.
+func (s *ExchangeServer) Close() error { return s.srv.Close() }
 
-func (s *ExchangeServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *ExchangeServer) serveConn(raw net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, raw)
-		s.mu.Unlock()
-		_ = raw.Close()
-	}()
-	_ = raw.SetDeadline(time.Now().Add(10 * time.Second)) //mdrep:allow wallclock: I/O deadline on a live socket, not replayed state
-	s.mu.Lock()
-	o := s.obs
-	s.mu.Unlock()
-	o.countServe()
-	conn := o.wrap(raw)
+// serve answers one request read from rw.
+func (s *ExchangeServer) serve(rw io.ReadWriter) error {
+	o := s.observer()
+	rw = o.wrap(rw)
 	var req exchangeRequest
-	if err := wire.ReadFrame(conn, &req); err != nil {
-		return
+	if err := wire.ReadFrame(rw, &req); err != nil {
+		return err
 	}
+	o.countServe()
 	sp := obs.StartSpan(obs.SpanContextFromWire(req.Trace), spanServe)
 	if req.Method != "evaluations" {
 		sp.EndErr(fmt.Errorf("unknown method %q", req.Method)) //mdrep:allow faultwrap: feeds the serve span's status only, never returned to a retry loop
-		_ = wire.WriteFrame(conn, exchangeResponse{Error: fmt.Sprintf("unknown method %q", req.Method)})
-		return
+		return wire.WriteFrame(rw, exchangeResponse{Error: fmt.Sprintf("unknown method %q", req.Method)})
 	}
 	infos, err := s.source()
 	if err != nil {
 		sp.EndErr(err)
-		_ = wire.WriteFrame(conn, exchangeResponse{Error: err.Error()})
-		return
+		return wire.WriteFrame(rw, exchangeResponse{Error: err.Error()})
 	}
 	sp.End()
-	_ = wire.WriteFrame(conn, exchangeResponse{Evaluations: infos})
+	return wire.WriteFrame(rw, exchangeResponse{Evaluations: infos})
 }

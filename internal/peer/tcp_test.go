@@ -121,3 +121,30 @@ func TestTCPExchangeDialFailure(t *testing.T) {
 		t.Fatal("fetch from closed port succeeded")
 	}
 }
+
+func TestTCPExchangeSurvivesServerRestart(t *testing.T) {
+	serve := func(addr string) *ExchangeServer {
+		t.Helper()
+		srv, err := ServeExchange(addr, func() ([]eval.Info, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		return srv
+	}
+	srv := serve("127.0.0.1:0")
+	r := NewStaticResolver()
+	r.Set("restarting", srv.Addr())
+	e := NewTCPExchange(r)
+	defer func() { _ = e.Close() }()
+	if _, err := e.FetchEvaluations(obs.SpanContext{}, "restarting"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	serve(srv.Addr())
+	if _, err := e.FetchEvaluations(obs.SpanContext{}, "restarting"); err != nil {
+		t.Fatalf("fetch after restart: %v", err)
+	}
+}

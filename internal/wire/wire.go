@@ -1,7 +1,9 @@
 // Package wire provides the length-prefixed JSON framing shared by the
 // project's TCP protocols (the DHT transport and the peer evaluation
 // exchange): a 4-byte big-endian length followed by a JSON body, with a
-// hard frame-size cap against memory exhaustion.
+// hard frame-size cap against memory exhaustion. It also carries the
+// connection handling both protocols share: a client Pool and a Server
+// that run request/response exchanges over persistent connections.
 package wire
 
 import (
@@ -14,7 +16,8 @@ import (
 // MaxFrame bounds inbound and outbound frames.
 const MaxFrame = 4 << 20
 
-// WriteFrame marshals v and writes one frame.
+// WriteFrame marshals v and writes one frame in a single Write, so a
+// frame on a TCP_NODELAY socket leaves as one segment, not two.
 func WriteFrame(w io.Writer, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -23,12 +26,9 @@ func WriteFrame(w io.Writer, v any) error {
 	if len(body) > MaxFrame {
 		return fmt.Errorf("wire: frame too large (%d bytes)", len(body))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
+	frame := make([]byte, 4, 4+len(body))
+	binary.BigEndian.PutUint32(frame, uint32(len(body)))
+	_, err = w.Write(append(frame, body...))
 	return err
 }
 
