@@ -115,15 +115,19 @@ sim:
 	cmp $(BIN)/massim.a.txt $(BIN)/massim.b.txt
 	@echo "massim: scenario suite passed, reruns byte-identical"
 
-# shard runs the sharded-engine invariance suite under the race
-# detector twice over: shard-count invariance (K ∈ {1,2,8} must be
-# bit-identical to the unsharded engine), the concurrent hammer at K=8,
-# per-shard journal recovery including truncation at every byte offset,
-# and the cross-facade parity tests at the mdrep and massim layers.
+# shard runs the sharded-engine suite under the race detector twice
+# over. core.Sharded is the only concurrency facade and K=1 every
+# caller's default, so it covers the K=1 proofs as well as K>1:
+# shard-count invariance (K ∈ {1,2,8} bit-identical to the bare
+# engine), the hammer at K=1 and K=8, the engine metric series at K=1
+# and K=4, the cross-K parity tests at the mdrep and massim layers, the
+# peer daemon's metrics over a one-shard journal, and the whole journal
+# package: the one-shard crash suite (torn and garbage tails, snapshot
+# fallback, WAL truncation at every byte offset) and per-shard recovery.
 shard:
-	$(GO) test -race -count=2 -run 'Shard|WithShards|MirrorShards' \
-		mdrep mdrep/internal/core mdrep/internal/journal \
-		mdrep/internal/massim mdrep/cmd/mdrep-peer
+	$(GO) test -race -count=2 -run 'Shard|WithShards|MirrorShards|SystemWithMetrics|EngineObserverCounts|MetricsEndpoint' \
+		mdrep mdrep/internal/core mdrep/internal/massim mdrep/cmd/mdrep-peer
+	$(GO) test -race -count=2 mdrep/internal/journal
 
 # walk runs the Monte-Carlo reputation estimator suite under the race
 # detector twice over: the cross-validation property tests against the

@@ -526,14 +526,14 @@ func journalWorkload(peers, count int) []core.Event {
 }
 
 // BenchmarkJournalAppend measures the durable write path — apply + encode +
-// WAL append — at two fsync batch sizes. The gap between sync=1 and
-// sync=64 is the price of per-event durability.
+// WAL append through a one-shard journal — at two fsync batch sizes. The
+// gap between sync=1 and sync=64 is the price of per-event durability.
 func BenchmarkJournalAppend(b *testing.B) {
 	const peers = 100
 	for _, syncEvery := range []int{1, 64} {
 		b.Run(fmt.Sprintf("sync=%d", syncEvery), func(b *testing.B) {
 			jcfg := journal.Config{SyncEvery: syncEvery, SnapshotEvery: 0, KeepSnapshots: 2}
-			jeng, _, err := journal.OpenEngine(b.TempDir(), peers, core.DefaultConfig(), jcfg)
+			jeng, _, err := journal.OpenSharded(b.TempDir(), peers, 1, core.DefaultConfig(), jcfg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -4,7 +4,7 @@
 // float accumulation for journal replay (detfloat), the
 // sparse.Matrix.Row aliasing contract (rowalias), injected clocks and
 // seeded randomness in deterministic packages (wallclock), the
-// core.Concurrent locking discipline (locksafe), allocation-free
+// core.Sharded locking discipline (locksafe), allocation-free
 // //mdrep:hotpath functions (allocfree), fault-taxonomy classification
 // at the RPC boundary (faultwrap), bounded metric label cardinality
 // (metriclabel), and the goroutine-leak TestMain guard (leakmain). See

@@ -55,6 +55,7 @@ func engineCmd(args []string) error {
 		return err
 	}
 	if reg != nil {
+		eng.Core().SetObserver(core.NewEngineObs(reg, obs.WallClock))
 		eng.Core().SetShardObserver(core.NewShardedObs(reg, obs.WallClock, *shards))
 	}
 	var recovered uint64

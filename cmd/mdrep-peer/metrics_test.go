@@ -62,7 +62,7 @@ func TestMetricsEndpointServesWorkloadSeries(t *testing.T) {
 	// both observers attached, driven through a few events and a TM build.
 	jcfg := journal.DefaultConfig()
 	jcfg.Obs = journal.NewLogObs(reg, obs.WallClock)
-	je, _, err := journal.OpenEngine(t.TempDir(), 4, core.DefaultConfig(), jcfg)
+	je, _, err := journal.OpenSharded(t.TempDir(), 4, 1, core.DefaultConfig(), jcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

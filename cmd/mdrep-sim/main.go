@@ -83,7 +83,7 @@ func run(args []string) error {
 	seed := fs.Uint64("seed", 1, "massim/walk experiment seed")
 	epochs := fs.Int("epochs", 0, "massim epoch count (0 = scenario default)")
 	baselines := fs.Bool("baselines", false, "massim: run eigentrust/BLUE/engine comparison baselines")
-	shards := fs.Int("shards", 0, "massim: back the mirrored engine with this many shards (0/1 = unsharded)")
+	shards := fs.Int("shards", 0, "massim: back the mirrored engine with this many shards (0/1 = one shard)")
 	walks := fs.Int("walks", 16000, "walk: largest walk count of the sweep")
 	depth := fs.Int("depth", 3, "walk: multi-trust depth n of each walk")
 	dhtMode := fs.Bool("dht", false, "walk: fetch TM rows through an in-memory DHT ring instead of the local matrix")

@@ -1,9 +1,9 @@
 // Package locksafe guards the two locking conventions of the concurrent
 // reputation engine.
 //
-// Re-entrancy (all packages): core.Concurrent — and every other
-// mutex-guarded facade in the tree (peer.Peer, dht.Storage, ...) — wraps
-// its state in a sync.Mutex/RWMutex field named mu. Go mutexes are not
+// Re-entrancy (all packages): every mutex-guarded facade in the tree
+// (peer.Peer, dht.Storage, journal shards, ...) wraps its state in a
+// sync.Mutex/RWMutex field named mu. Go mutexes are not
 // re-entrant: a method that holds c.mu for its whole body (the
 // `c.mu.Lock(); defer c.mu.Unlock()` idiom) and then calls another method
 // of the same receiver that acquires c.mu deadlocks itself — or, for
@@ -12,14 +12,12 @@
 // (transitively) acquire mu, and flags same-receiver calls to them made
 // while the caller still holds the lock.
 //
-// Facade bypass (packages outside core and journal): core.Engine is not
-// safe for concurrent use — even read-looking calls patch its caches — so
-// everything outside the core must route through core.Concurrent or
-// core.Sharded. The analyzer flags direct *core.Engine method calls
-// unless the engine arrived as a function parameter (the caller owns the
-// locking contract, e.g. security.InjectClique) or the call happens
-// inside a closure passed to Concurrent.Locked, the sanctioned escape
-// hatch.
+// Facade bypass (packages outside core): core.Engine is not safe for
+// concurrent use — even read-looking calls patch its caches — so
+// everything outside the core must route through core.Sharded. The
+// analyzer flags direct *core.Engine method calls unless the engine
+// arrived as a function parameter or through the receiver (the caller
+// owns the locking contract).
 //
 // Shard lock ordering (all packages): the sharded engine's deadlock
 // freedom rests on one rule — when a function holds more than one shard
@@ -46,10 +44,11 @@ import (
 	"mdrep/internal/analysis/lintutil"
 )
 
-// enginePackages are allowed to touch core.Engine directly: the defining
-// package and the journal, whose restore path rebuilds engines before
-// atomically installing them via Concurrent.Swap.
-var enginePackages = []string{"core", "journal"}
+// enginePackages are allowed to touch core.Engine directly: only the
+// defining package, where core.Sharded keeps its evidence in an Engine
+// under its own shard locks. Every other package, the journal included,
+// drives core.Sharded.
+var enginePackages = []string{"core"}
 
 // engineImmutable are Engine methods that only read construction-time
 // state and are safe without the facade.
@@ -63,9 +62,8 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flag re-entrant mutex acquisition, core.Engine facade bypass, and shard lock-order violations\n\n" +
 		"A method holding its receiver's mu (Lock-then-defer-Unlock idiom) must\n" +
 		"not call another method of the same receiver that acquires mu: Go\n" +
-		"mutexes are not re-entrant. Outside core and journal, *core.Engine\n" +
-		"must be driven through core.Concurrent or core.Sharded (or the\n" +
-		"Concurrent.Locked escape hatch) — the bare engine is not safe for\n" +
+		"mutexes are not re-entrant. Outside core, *core.Engine must be\n" +
+		"driven through core.Sharded — the bare engine is not safe for\n" +
 		"concurrent use. Functions that take multiple shards[i].mu locks must\n" +
 		"take them in ascending shard index, or two shard workers deadlock\n" +
 		"against each other.",
@@ -339,11 +337,11 @@ func checkFacadeBypass(pass *analysis.Pass, ins *inspector.Inspector) {
 		if !ok || !isEngineMethod(fn) || engineImmutable[fn.Name()] {
 			return true
 		}
-		if insideLockedCallback(stack) || receiverIsParameter(pass, call, stack) {
+		if receiverIsParameter(pass, call, stack) {
 			return true
 		}
 		lintutil.Report(pass, call.Pos(), name,
-			"direct (*core.Engine).%s outside the core: the bare engine is not safe for concurrent use — route through core.Concurrent or core.Sharded (or a Concurrent.Locked callback)",
+			"direct (*core.Engine).%s outside the core: the bare engine is not safe for concurrent use — route through core.Sharded",
 			fn.Name())
 		return true
 	})
@@ -366,36 +364,9 @@ func isEngineMethod(fn *types.Func) bool {
 	return pkg != nil && pkg.Name() == "core"
 }
 
-// insideLockedCallback reports whether the call sits in a function literal
-// passed to a method named Locked — Concurrent's compound-operation escape
-// hatch, which supplies the engine under the write lock.
-func insideLockedCallback(stack []ast.Node) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		lit, ok := stack[i].(*ast.FuncLit)
-		if !ok {
-			continue
-		}
-		for j := i - 1; j >= 0; j-- {
-			outer, ok := stack[j].(*ast.CallExpr)
-			if !ok {
-				continue
-			}
-			if sel, ok := outer.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Locked" {
-				for _, arg := range outer.Args {
-					if arg == ast.Expr(lit) {
-						return true
-					}
-				}
-			}
-			break
-		}
-	}
-	return false
-}
-
 // receiverIsParameter reports whether the engine receiver of call is (or
-// is reached through) a parameter of the enclosing function — the
-// InjectClique contract: the caller supplies an engine it already guards.
+// is reached through) a parameter or the receiver of the enclosing
+// function: the caller supplies an engine it already guards.
 func receiverIsParameter(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

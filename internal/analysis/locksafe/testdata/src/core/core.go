@@ -26,11 +26,3 @@ func (e *Engine) ApplyEvent(i int, v float64) error {
 // Score looks read-only but is still unsafe on the bare engine (the real
 // Engine patches caches on read), so it is not in the immutable set.
 func (e *Engine) Score(i int) float64 { return e.acc[i] }
-
-type Concurrent struct {
-	eng *Engine
-}
-
-func NewConcurrent(eng *Engine) *Concurrent { return &Concurrent{eng: eng} }
-
-func (c *Concurrent) Locked(fn func(*Engine) error) error { return fn(c.eng) }

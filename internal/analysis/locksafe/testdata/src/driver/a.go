@@ -32,7 +32,7 @@ func badClosure() func() {
 }
 
 // okParam: the engine arrived as a parameter, so the caller owns the
-// locking contract — the security.InjectClique shape.
+// locking contract.
 func okParam(e *core.Engine) error {
 	return e.ApplyEvent(2, 1.0)
 }
@@ -45,13 +45,6 @@ func okParamStruct(nd *node) error {
 // okReceiver: reached through the method receiver.
 func (nd *node) okReceiver() error {
 	return nd.eng.ApplyEvent(0, 1.0)
-}
-
-// okLocked: inside the Concurrent.Locked escape hatch.
-func okLocked(c *core.Concurrent) error {
-	return c.Locked(func(e *core.Engine) error {
-		return e.ApplyEvent(3, 2.0)
-	})
 }
 
 // okImmutable: N and Config only read construction-time state.

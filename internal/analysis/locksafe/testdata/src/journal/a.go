@@ -1,6 +1,6 @@
-// Clean-negative fixture: package path "journal" is in locksafe's
-// enginePackages, so its privileged direct engine use (rebuilding a fresh
-// engine during replay, before publication) is not flagged.
+// Positive fixture: the journal gets no facade exemption. Like every
+// package outside core it drives core.Sharded, so building and feeding a
+// bare engine here is flagged.
 package journal
 
 import "core"
@@ -8,7 +8,7 @@ import "core"
 func Replay(events []float64) *core.Engine {
 	eng := core.NewEngine(len(events), core.Config{})
 	for i, v := range events {
-		_ = eng.ApplyEvent(i, v)
+		_ = eng.ApplyEvent(i, v) // want `direct \(\*core\.Engine\)\.ApplyEvent outside the core`
 	}
 	return eng
 }

@@ -1,5 +1,5 @@
 // Positive/negative fixture for the re-entrancy half of locksafe: a
-// mutex-guarded facade in the shape of core.Concurrent.
+// facade guarding its state with an RWMutex field named mu.
 package lockbox
 
 import "sync"
@@ -53,9 +53,8 @@ func (b *Box) OKComposite(v int) {
 	b.addLocked(v)
 }
 
-// OKUpgrade mirrors Concurrent.TM's read-then-upgrade shape: the
-// self-call happens after the explicit RUnlock, so it is not made under
-// the lock.
+// OKUpgrade is the read-then-upgrade shape: the self-call happens after
+// the explicit RUnlock, so it is not made under the lock.
 func (b *Box) OKUpgrade(v int) int {
 	b.mu.RLock()
 	cur := b.val

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mdrep/internal/eval"
-	"mdrep/internal/obs"
 	"mdrep/internal/sparse"
 )
 
@@ -28,9 +27,12 @@ import (
 // when builds happened in the original run.
 //
 // The Engine itself is not safe for concurrent use — even read-looking
-// calls like Reputations patch the caches. Wrap it in Concurrent to share
-// it: events take the write lock while reputation queries share the read
-// lock against the frozen CSR snapshot.
+// calls like Reputations patch the caches. Share reputation state through
+// Sharded, which keeps its evidence in an Engine but runs its own
+// per-shard builds under shard locks. The bare Engine stays the
+// single-threaded reference that the shard-count invariance tests, the
+// journal recovery ground truths and the kernel benchmarks compare
+// against.
 type Engine struct {
 	cfg    Config
 	n      int
@@ -174,7 +176,7 @@ const (
 
 // markFunc receives cache-invalidation effects of an evidence mutation:
 // dimension dim's row must be recomputed before the next build. The
-// unsharded Engine routes marks into its own dimCaches; core.Sharded
+// bare Engine routes marks into its own dimCaches; core.Sharded
 // routes them to the owning shard's dirty tracker. A markFunc may be
 // called under an index stripe lock and must not acquire shard data
 // locks.
@@ -414,11 +416,7 @@ func (e *Engine) refreshFM(now time.Duration) bool {
 	if !e.fm.stale() {
 		return false
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		e.obs.dirtyFM.Add(e.dirtyCount(&e.fm))
-		sp = e.obs.tracer.Start(e.obs.buildFM)
-	}
+	sp := e.obs.startBuild(dimFM, e.dirtyCount(&e.fm))
 	memo := make(map[eval.FileID]*fileEvaluators)
 	changed := e.refresh(&e.fm, func(i int) map[int]float64 { return e.fmRow(i, now, memo) })
 	sp.End()
@@ -429,11 +427,7 @@ func (e *Engine) refreshDM(now time.Duration) bool {
 	if !e.dm.stale() {
 		return false
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		e.obs.dirtyDM.Add(e.dirtyCount(&e.dm))
-		sp = e.obs.tracer.Start(e.obs.buildDM)
-	}
+	sp := e.obs.startBuild(dimDM, e.dirtyCount(&e.dm))
 	changed := e.refresh(&e.dm, func(i int) map[int]float64 { return e.dmRow(i, now) })
 	sp.End()
 	return changed
@@ -443,11 +437,7 @@ func (e *Engine) refreshUM() bool {
 	if !e.um.stale() {
 		return false
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		e.obs.dirtyUM.Add(e.dirtyCount(&e.um))
-		sp = e.obs.tracer.Start(e.obs.buildUM)
-	}
+	sp := e.obs.startBuild(dimUM, e.dirtyCount(&e.um))
 	changed := e.refresh(&e.um, func(i int) map[int]float64 { return e.umRow(i) })
 	sp.End()
 	return changed
@@ -540,10 +530,7 @@ func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
 	e.refreshUM()
 	src := [3]*sparse.CSR{e.fm.frozen, e.dm.frozen, e.um.frozen}
 	if e.tm == nil || src != e.tmSrc {
-		var sp obs.Span
-		if e.obs != nil {
-			sp = e.obs.tracer.Start(e.obs.refreeze)
-		}
+		sp := e.obs.startRefreeze()
 		tm, err := sparse.WeightedSum(e.n, []sparse.Weighted{
 			{Scale: e.cfg.Alpha, M: e.fm.frozen},
 			{Scale: e.cfg.Beta, M: e.dm.frozen},
@@ -555,10 +542,7 @@ func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
 		e.tm = tm
 		e.tmSrc = src
 		e.epoch++
-		sp.End()
-		if e.obs != nil {
-			e.obs.refreezes.Inc()
-		}
+		e.obs.refrozen(sp)
 	}
 	return e.tm, nil
 }
@@ -578,7 +562,7 @@ func (e *Engine) InvalidateCaches() {
 // CachedTM returns the frozen TM for time now without rebuilding, if the
 // cache is current: no dirty rows, and either the build time matches or
 // nothing can expire (Window == 0 makes the matrices independent of the
-// clock). Concurrent's read path uses this under the shared lock.
+// clock). Sharded.cachedTM applies the same rule to its own cache.
 func (e *Engine) CachedTM(now time.Duration) (*sparse.CSR, bool) {
 	if e.tm == nil || e.fm.stale() || e.dm.stale() || e.um.stale() {
 		return nil, false
@@ -598,10 +582,7 @@ func (e *Engine) BuildRM(now time.Duration) (*sparse.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		sp = e.obs.tracer.Start(e.obs.buildRM)
-	}
+	sp := e.obs.spanBuildRM()
 	rm, err := tm.Pow(e.cfg.Steps)
 	sp.End()
 	return rm, err
@@ -617,10 +598,7 @@ func (e *Engine) Reputations(i int, now time.Duration) (map[int]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		sp = e.obs.tracer.Start(e.obs.repWalk)
-	}
+	sp := e.obs.spanRepWalk()
 	row, err := tm.RowVecPow(i, e.cfg.Steps)
 	sp.End()
 	return row, err

@@ -158,7 +158,7 @@ func (e *Engine) ApplyEvent(ev Event) error {
 
 // applyTo applies one event, reporting cache invalidations through mark
 // instead of the engine's own dimension caches. It is the shared
-// mutation path under both facades: the unsharded Engine passes markDim;
+// mutation path of the bare Engine and of Sharded: the Engine passes markDim;
 // core.Sharded passes a marker that routes each row to its owning
 // shard's dirty tracker. Evidence mutations only ever touch the acting
 // peer's own rows (stores[I], downloads[I], userTrust[I], blacklist[I])

@@ -9,7 +9,7 @@ import (
 
 // evalIndex is the inverted file → evaluators index, striped by file hash
 // so concurrent shard writers (core.Sharded's per-shard apply paths) do
-// not serialise behind one map mutex. The unsharded Engine uses the same
+// not serialise behind one map mutex. The bare Engine uses the same
 // index single-threaded; the stripe mutexes are then uncontended and cost
 // one atomic each, which keeps the two code paths literally identical —
 // the foundation of the shard-count invariance guarantee.

@@ -5,27 +5,24 @@ import (
 	"mdrep/internal/obs"
 )
 
-// EngineObs is the engine's metrics surface: per-dimension build
+// EngineObs is the trust core's metrics surface: per-dimension build
 // latency and dirty-row volume, TM re-freeze (epoch bump) latency, and
-// reputation power-walk timing. An engine with a nil observer pays one
-// nil check per build call. The observer carries no engine state, so
-// attaching or detaching it cannot perturb replay determinism — the
-// clock is only ever read around builds, never fed into them.
+// RM build and reputation power-walk timing. Engine and Sharded emit the
+// same series through the nil-safe helpers below, so a core with a nil
+// observer pays one nil check per build step. The observer carries no
+// engine state, so attaching or detaching it cannot perturb replay
+// determinism — the clock is only ever read around builds, never fed
+// into them.
 type EngineObs struct {
 	tracer *obs.Tracer
 
-	buildFM *metrics.Histogram // engine_build_seconds{dim=...}
-	buildDM *metrics.Histogram
-	buildUM *metrics.Histogram
-	buildRM *metrics.Histogram
-	repWalk *metrics.Histogram // Reputations row-walk latency
+	build   [3]*metrics.Histogram // engine_build_seconds{dim=fm|dm|um}, indexed by dimFM..dimUM
+	dirty   [3]*metrics.Counter   // engine_dirty_rows_total{dim=fm|dm|um}
+	buildRM *metrics.Histogram    // engine_build_seconds{dim=rm}
+	repWalk *metrics.Histogram    // Reputations row-walk latency
 
 	refreeze  *metrics.Histogram // TM integration (WeightedSum) latency
 	refreezes *metrics.Counter   // epoch bumps
-
-	dirtyFM *metrics.Counter // engine_dirty_rows_total{dim=...}
-	dirtyDM *metrics.Counter
-	dirtyUM *metrics.Counter
 }
 
 // NewEngineObs registers the engine metric families in reg and returns
@@ -37,18 +34,56 @@ func NewEngineObs(reg *metrics.Registry, clock obs.Clock) *EngineObs {
 		return nil
 	}
 	return &EngineObs{
-		tracer:    obs.NewTracer(clock),
-		buildFM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "fm"),
-		buildDM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "dm"),
-		buildUM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "um"),
+		tracer: obs.NewTracer(clock),
+		build: [3]*metrics.Histogram{
+			dimFM: reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "fm"),
+			dimDM: reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "dm"),
+			dimUM: reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "um"),
+		},
+		dirty: [3]*metrics.Counter{
+			dimFM: reg.Counter("engine_dirty_rows_total", "dim", "fm"),
+			dimDM: reg.Counter("engine_dirty_rows_total", "dim", "dm"),
+			dimUM: reg.Counter("engine_dirty_rows_total", "dim", "um"),
+		},
 		buildRM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "rm"),
 		repWalk:   reg.Histogram("engine_reputation_walk_seconds", metrics.DurationBuckets),
 		refreeze:  reg.Histogram("engine_tm_refreeze_seconds", metrics.DurationBuckets),
 		refreezes: reg.Counter("engine_tm_refreeze_total"),
-		dirtyFM:   reg.Counter("engine_dirty_rows_total", "dim", "fm"),
-		dirtyDM:   reg.Counter("engine_dirty_rows_total", "dim", "dm"),
-		dirtyUM:   reg.Counter("engine_dirty_rows_total", "dim", "um"),
 	}
+}
+
+// startBuild counts the rows one build of dimension d recomputes and
+// opens its build span; nil-safe.
+func (o *EngineObs) startBuild(d int, rows uint64) obs.Span {
+	if o == nil {
+		return obs.Span{}
+	}
+	o.dirty[d].Add(rows)
+	return o.tracer.Start(o.build[d])
+}
+
+// startRefreeze opens a TM integration span; nil-safe.
+func (o *EngineObs) startRefreeze() obs.Span {
+	if o == nil {
+		return obs.Span{}
+	}
+	return o.tracer.Start(o.refreeze)
+}
+
+// refrozen ends a refreeze span and counts the epoch bump; nil-safe.
+func (o *EngineObs) refrozen(sp obs.Span) {
+	sp.End()
+	if o != nil {
+		o.refreezes.Inc()
+	}
+}
+
+// spanBuildRM opens an RM power-chain span; nil-safe.
+func (o *EngineObs) spanBuildRM() obs.Span {
+	if o == nil {
+		return obs.Span{}
+	}
+	return o.tracer.Start(o.buildRM)
 }
 
 // spanRepWalk starts a reputation-walk span; nil-safe so lock-free query
@@ -61,8 +96,9 @@ func (o *EngineObs) spanRepWalk() obs.Span {
 }
 
 // SetObserver attaches (or, with nil, detaches) the metrics observer.
-// Not safe for concurrent use with builds — attach at construction, or
-// through Concurrent.SetObserver.
+// Not safe for concurrent use with builds: attach before the engine is
+// used. Sharded.SetObserver attaches the same surface to the sharded
+// facade.
 func (e *Engine) SetObserver(o *EngineObs) { e.obs = o }
 
 // dirtyCount is the number of rows the next refresh of d will recompute.

@@ -11,15 +11,17 @@ import (
 	"mdrep/internal/sparse"
 )
 
-// Sharded is the scale-out concurrency facade over the trust core: it
-// partitions the peer population across K shards by consistent hash on
-// the peer index, each shard owning its peers' evidence (stores,
-// download ledgers, user ratings, blacklists), its row-range of the
-// FM/DM/UM matrices, and its own dirty-row trackers. Writers for
-// different shards proceed in parallel — the property the single
-// RWMutex of Concurrent cannot offer — while rebuilds freeze each
-// shard's rows independently (sparse.FreezeNormalizedRows) and merge
-// the pieces into the same global CSRs the unsharded Engine produces.
+// Sharded is the concurrency facade over the trust core, and the only
+// one: every caller that shares reputation state across goroutines
+// (mdrep.System, the journal, the simulators, the peer daemon) drives
+// it. It partitions the peer population across K shards by consistent
+// hash on the peer index, each shard owning its peers' evidence
+// (stores, download ledgers, user ratings, blacklists), its row-range
+// of the FM/DM/UM matrices, and its own dirty-row trackers. K = 1 is
+// the default; a larger K lets writers for different shards proceed in
+// parallel, while rebuilds freeze each shard's rows independently
+// (sparse.FreezeNormalizedRows) and merge the pieces into the same
+// global CSRs the bare Engine produces.
 //
 // Shardability rests on an ownership invariant of the event model:
 // every evidence mutation of ApplyEvent touches only the acting peer's
@@ -44,7 +46,7 @@ import (
 //
 // Read paths (Reputations, JudgeFile, BuildRM) synchronise only on the
 // TM cache: a hit returns the immutable frozen CSR and the multi-trust
-// walk runs without any lock, exactly as under Concurrent.
+// walk runs without any lock.
 type Sharded struct {
 	eng *Engine // shared evidence container + row math; never used directly by callers
 	k   int
@@ -70,7 +72,7 @@ type Sharded struct {
 	lastNow    time.Duration
 	lastNowSet bool
 
-	obs  *EngineObs // reputation-walk spans, shared with Concurrent's surface
+	obs  *EngineObs // the bare Engine's series: builds, refreezes, RM, walks
 	sobs *ShardedObs
 }
 
@@ -120,9 +122,9 @@ func ShardIndex(p, k int) int {
 }
 
 // NewSharded builds a sharded engine for n peers across k shards.
-// k = 1 degenerates to a single shard and is byte-identical to the
-// unsharded Engine on every output — the anchor of the invariance
-// property test.
+// k = 1 is a single shard, the default of every caller; it and every
+// larger k are byte-identical to the bare Engine on every output — the
+// shard-count invariance property test.
 func NewSharded(n, k int, cfg Config) (*Sharded, error) {
 	if k < 1 || k > MaxShards {
 		return nil, fmt.Errorf("core: shard count %d outside [1, %d]", k, MaxShards)
@@ -172,8 +174,12 @@ func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
 // ShardOf returns peer p's owner shard.
 func (s *Sharded) ShardOf(p int) int { return int(s.shardOf[p]) }
 
-// SetObserver attaches the engine metrics observer (reputation-walk
-// spans); per-shard ingest/rebuild metrics attach via SetShardObserver.
+// SetObserver attaches the engine metrics observer: per-dimension build
+// spans and dirty rows (one build sample per shard worker that
+// recomputes a dimension), TM refreezes, RM builds and reputation
+// walks — at K = 1 the same counts the bare Engine records. Per-shard
+// ingest and rebuild metrics attach via SetShardObserver. Attach both
+// before the engine is shared.
 func (s *Sharded) SetObserver(o *EngineObs) { s.obs = o }
 
 // SetShardObserver attaches the per-shard metrics observer.
@@ -244,14 +250,20 @@ func (s *Sharded) ApplyEvent(ev Event) error {
 	return err
 }
 
-// ApplyBatch is the group-commit ingest path: the batch is prevalidated
-// (inheriting the all-or-report contract of Concurrent.ApplyBatch — on
-// a *BatchError nothing is applied), partitioned by owner shard, and
-// each shard's sub-batch applies in submission order under that shard's
-// lock, all shards in parallel. Because events with distinct owners
-// commute (see type comment), the result is identical to sequential
-// application. Batches containing EventCompact fall back to sequential
-// ApplyEvent calls: compaction is a global barrier.
+// ApplyBatch is the group-commit ingest path for bulk sources (the
+// massim mirror's per-epoch batches, the journal's durable batches).
+//
+// Contract: all-or-report. Every event is prevalidated with
+// ValidateEvent before any is applied; on failure ApplyBatch returns a
+// *BatchError naming the offending index and NO event of the batch is
+// applied. A nil return means the whole batch applied.
+//
+// The batch is partitioned by owner shard, and each shard's sub-batch
+// applies in submission order under that shard's lock, all shards in
+// parallel. Because events with distinct owners commute (see type
+// comment), the result is identical to sequential application. Batches
+// containing EventCompact fall back to sequential ApplyEvent calls:
+// compaction is a global barrier.
 func (s *Sharded) ApplyBatch(evs []Event) error {
 	n := s.eng.n
 	hasCompact := false
@@ -408,12 +420,12 @@ func (s *Sharded) TM(now time.Duration) (*sparse.CSR, error) {
 // rebuild is the stop-the-world build: under rebuildMu and every shard
 // data lock (ascending), it reconciles virtual time, drains each
 // shard's dirty trackers, recomputes the dirty rows of each dimension
-// per shard in parallel (reusing the exact row functions of the
-// unsharded engine), refreezes changed shards' row sets, merges them
-// into global CSRs and integrates TM. Rows accumulate in the same
-// ascending order as the unsharded build and the freeze/merge math is
-// bit-identical to FreezeNormalized (see sparse.RowSet), so the result
-// is byte-identical for any K and any GOMAXPROCS.
+// per shard in parallel (reusing the exact row functions of the bare
+// Engine), refreezes changed shards' row sets, merges them into global
+// CSRs and integrates TM. Rows accumulate in the same ascending order
+// as the Engine's build and the freeze/merge math is bit-identical to
+// FreezeNormalized (see sparse.RowSet), so the result is byte-identical
+// for any K and any GOMAXPROCS.
 func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
@@ -485,8 +497,14 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 			if !all[d] && len(dirty[d]) == 0 && dim.sets[si] != nil {
 				continue
 			}
+			full := all[d] || dim.sets[si] == nil
+			rows := len(dirty[d])
+			if full {
+				rows = len(owned)
+			}
+			bsp := s.obs.startBuild(d, uint64(rows))
 			rowFn := s.rowFn(d, now)
-			if all[d] || dim.sets[si] == nil {
+			if full {
 				for _, i := range owned {
 					dim.rows[i] = rowFn(i)
 				}
@@ -496,6 +514,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 				}
 			}
 			dim.sets[si] = sparse.FreezeNormalizedRows(s.eng.n, owned, dim.rows)
+			bsp.End()
 			changed[d].Store(true)
 		}
 	})
@@ -513,6 +532,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	}
 	src := [3]*sparse.CSR{s.dims[dimFM].frozen, s.dims[dimDM].frozen, s.dims[dimUM].frozen}
 	if s.tm == nil || src != s.tmSrc {
+		rsp := s.obs.startRefreeze()
 		cfg := s.eng.cfg
 		tm, err := sparse.WeightedSum(s.eng.n, []sparse.Weighted{
 			{Scale: cfg.Alpha, M: src[dimFM]},
@@ -525,9 +545,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		s.tm = tm
 		s.tmSrc = src
 		s.epoch.Add(1)
-		if s.sobs != nil {
-			s.sobs.refreezes.Inc()
-		}
+		s.obs.refrozen(rsp)
 	}
 	s.tmCache.Store(&shardedTM{tm: s.tm, now: now, version: ver})
 	return s.tm, nil
@@ -558,7 +576,10 @@ func (s *Sharded) BuildRM(now time.Duration) (*sparse.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tm.Pow(s.Config().Steps)
+	sp := s.obs.spanBuildRM()
+	rm, err := tm.Pow(s.Config().Steps)
+	sp.End()
+	return rm, err
 }
 
 // Reputations returns row i of RM. Only the TM fetch synchronises; the
@@ -597,7 +618,8 @@ func (s *Sharded) Evaluation(p int, f eval.FileID, now time.Duration) (float64, 
 	return s.eng.stores[p].Get(f, now)
 }
 
-// JudgeFile mirrors Concurrent.JudgeFile.
+// JudgeFile mirrors Engine.JudgeFile: reputations via the shared TM
+// path, then the threshold decision (pure, configuration-only).
 func (s *Sharded) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) (Judgement, error) {
 	reps, err := s.Reputations(i, now)
 	if err != nil {
@@ -606,7 +628,8 @@ func (s *Sharded) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) 
 	return s.eng.judgeWith(reps, owners)
 }
 
-// JudgeFileFromTM mirrors Concurrent.JudgeFileFromTM.
+// JudgeFileFromTM mirrors Engine.JudgeFileFromTM; no lock is held
+// during the walk.
 func (s *Sharded) JudgeFileFromTM(tm *sparse.CSR, i int, owners []OwnerEvaluation) (Judgement, error) {
 	return s.eng.JudgeFileFromTM(tm, i, owners)
 }

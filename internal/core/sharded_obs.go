@@ -7,21 +7,21 @@ import (
 	"mdrep/internal/obs"
 )
 
-// ShardedObs is the sharded facade's metrics surface: group-commit
+// ShardedObs is the sharded facade's own metrics surface: group-commit
 // batch and per-shard event counts on the ingest path, rebuild and
-// per-shard rebuild latency, the wait to acquire every shard lock
-// (writer contention made visible), and TM refreeze count. All series
-// carrying a per-shard dimension use a "shard" label so dashboards can
-// spot a hot shard. A nil observer disables everything, as EngineObs.
+// per-shard rebuild latency, and the wait to acquire every shard lock
+// (writer contention made visible). TM refreezes and dimension builds
+// are EngineObs series. All series carrying a per-shard dimension use a
+// "shard" label so dashboards can spot a hot shard. A nil observer
+// disables everything, as EngineObs.
 type ShardedObs struct {
 	tracer *obs.Tracer
 
-	batches   *metrics.Counter     // sharded_ingest_batches_total
-	events    []*metrics.Counter   // sharded_ingest_events_total{shard=i}
-	rebuild   *metrics.Histogram   // sharded_rebuild_seconds
-	perShard  []*metrics.Histogram // sharded_shard_rebuild_seconds{shard=i}
-	lockWait  *metrics.Histogram   // sharded_rebuild_lock_wait_seconds
-	refreezes *metrics.Counter     // sharded_tm_refreeze_total
+	batches  *metrics.Counter     // sharded_ingest_batches_total
+	events   []*metrics.Counter   // sharded_ingest_events_total{shard=i}
+	rebuild  *metrics.Histogram   // sharded_rebuild_seconds
+	perShard []*metrics.Histogram // sharded_shard_rebuild_seconds{shard=i}
+	lockWait *metrics.Histogram   // sharded_rebuild_lock_wait_seconds
 }
 
 // NewShardedObs registers the sharded metric families for k shards. A
@@ -32,13 +32,12 @@ func NewShardedObs(reg *metrics.Registry, clock obs.Clock, k int) *ShardedObs {
 		return nil
 	}
 	o := &ShardedObs{
-		tracer:    obs.NewTracer(clock),
-		batches:   reg.Counter("sharded_ingest_batches_total"),
-		events:    make([]*metrics.Counter, k),
-		rebuild:   reg.Histogram("sharded_rebuild_seconds", metrics.DurationBuckets),
-		perShard:  make([]*metrics.Histogram, k),
-		lockWait:  reg.Histogram("sharded_rebuild_lock_wait_seconds", metrics.DurationBuckets),
-		refreezes: reg.Counter("sharded_tm_refreeze_total"),
+		tracer:   obs.NewTracer(clock),
+		batches:  reg.Counter("sharded_ingest_batches_total"),
+		events:   make([]*metrics.Counter, k),
+		rebuild:  reg.Histogram("sharded_rebuild_seconds", metrics.DurationBuckets),
+		perShard: make([]*metrics.Histogram, k),
+		lockWait: reg.Histogram("sharded_rebuild_lock_wait_seconds", metrics.DurationBuckets),
 	}
 	for i := 0; i < k; i++ {
 		o.events[i] = reg.Counter("sharded_ingest_events_total", "shard", shardLabel(i))

@@ -2,13 +2,16 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/sim"
 )
 
 // scriptEvents generates a deterministic, seeded event log covering
@@ -222,27 +225,83 @@ func TestShardedIncrementalMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestShardedApplyBatchContract checks the sharded facade inherits the
-// all-or-report batch contract.
+// TestShardedApplyBatchContract checks the group-commit batch contract
+// at K = 1 and K = 4: a batch leaves the engine in exactly the state of
+// the same events applied one by one, and a batch holding an invalid
+// event reports its index and applies nothing (all-or-report).
 func TestShardedApplyBatchContract(t *testing.T) {
-	s, err := NewSharded(8, 4, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	const n = 8
+	good := []Event{
+		{Kind: EventDownload, I: 0, J: 1, File: "f1", Size: 1 << 10, Time: time.Second},
+		{Kind: EventVote, I: 0, File: "f1", Value: 0.9, Time: 2 * time.Second},
+		{Kind: EventRateUser, I: 0, J: 1, Value: 0.8},
+		{Kind: EventDownload, I: 2, J: 1, File: "f1", Size: 1 << 11, Time: 3 * time.Second},
+		{Kind: EventVote, I: 2, File: "f1", Value: 0.7, Time: 4 * time.Second},
 	}
-	bad := []Event{
-		{Kind: EventRateUser, I: 0, J: 1, Value: 0.5},
-		{Kind: EventDownload, I: 3, J: 3, File: "f"}, // self-download
+	bad := map[string][]Event{
+		"out-of-range": {
+			{Kind: EventRateUser, I: 0, J: 1, Value: 0.5},
+			{Kind: EventRateUser, I: 99, J: 1, Value: 0.5},
+			{Kind: EventRateUser, I: 2, J: 1, Value: 0.5},
+		},
+		"self-download": {
+			{Kind: EventRateUser, I: 0, J: 1, Value: 0.5},
+			{Kind: EventDownload, I: 3, J: 3, File: "f"},
+		},
 	}
-	err = s.ApplyBatch(bad)
-	be, ok := err.(*BatchError)
-	if !ok || be.Index != 1 {
-		t.Fatalf("err = %v, want BatchError at index 1", err)
-	}
-	st := s.ExportState()
-	for i, ut := range st.UserTrust {
-		if len(ut) != 0 {
-			t.Fatalf("peer %d mutated by failed batch", i)
-		}
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			mk := func() *Sharded {
+				s, err := NewSharded(n, k, DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			batched, single := mk(), mk()
+			if err := batched.ApplyBatch(good); err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range good {
+				if err := single.ApplyEvent(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			now := 5 * time.Second
+			rb, err := batched.Reputations(0, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := single.Reputations(0, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rb) != len(rs) {
+				t.Fatalf("reputation map sizes differ: %d vs %d", len(rb), len(rs))
+			}
+			for j, v := range rs {
+				if rb[j] != v {
+					t.Fatalf("reputation[%d] = %v batched vs %v single", j, rb[j], v)
+				}
+			}
+
+			for name, evs := range bad {
+				s := mk()
+				err := s.ApplyBatch(evs)
+				var be *BatchError
+				if !errors.As(err, &be) || be.Index != 1 {
+					t.Fatalf("%s: err = %v, want BatchError at index 1", name, err)
+				}
+				if !strings.Contains(err.Error(), "batch event 1") {
+					t.Fatalf("%s: error %q does not name the failing index", name, err)
+				}
+				for i, ut := range s.ExportState().UserTrust {
+					if len(ut) != 0 {
+						t.Fatalf("%s: peer %d mutated by failed batch", name, i)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -270,61 +329,117 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedHammer drives a K=8 sharded engine with racing single
-// events, batches, compactions and reads; run under -race it is the
-// concurrency proof of the lock ordering in the type comment.
+// TestShardedHammer drives a sharded engine at K = 1 (every System's
+// default) and K = 8 with racing mutators and readers; run under -race
+// it is the concurrency proof of the lock ordering in the type comment.
+// Writers mix group-commit batches, per-event calls of every kind and
+// compactions. Readers mix reputation queries, TM fetches walked
+// outside the lock, owner collection feeding judgements, evaluations
+// and exports, at virtual times that move backwards as well as forwards.
 func TestShardedHammer(t *testing.T) {
 	const n = 32
 	cfg := DefaultConfig()
 	cfg.Window = time.Hour
-	s, err := NewSharded(n, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			evs := scriptEvents(n, 3, int64(100+w))
-			for off := 0; off < len(evs); off += 16 {
-				end := off + 16
-				if end > len(evs) {
-					end = len(evs)
-				}
-				if err := s.ApplyBatch(evs[off:end]); err != nil {
-					panic(err)
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			s, err := NewSharded(n, k, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			errs := make(chan error, 64)
+			report := func(err error) {
+				if err != nil {
+					select {
+					case errs <- err:
+					default:
+					}
 				}
 			}
-		}(w)
-	}
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < 40; r++ {
-				now := time.Duration(r%4) * time.Hour
-				if _, err := s.Reputations(r%n, now); err != nil {
-					panic(err)
-				}
-				if _, ok := s.Evaluation(r%n, "file-00", now); ok {
-					_ = ok
-				}
-				_ = s.CollectOwnerEvaluations("file-01", []int{0, 5, 9}, now)
+
+			// Batch writers.
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					evs := scriptEvents(n, 3, int64(100+w))
+					for off := 0; off < len(evs); off += 16 {
+						report(s.ApplyBatch(evs[off:min(off+16, len(evs))]))
+					}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for r := 0; r < 5; r++ {
-			s.Compact(time.Duration(r) * time.Hour)
-			_ = s.ExportState()
-		}
-	}()
-	wg.Wait()
-	if _, err := s.TM(4 * time.Hour); err != nil {
-		t.Fatal(err)
+			// Per-event writers, compacting every fifth step.
+			for w := 0; w < 2; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					r := sim.NewRNG(uint64(1000 + w))
+					for step := 0; step < 300; step++ {
+						i, j := r.Intn(n), r.Intn(n)
+						fid := eval.FileID(fmt.Sprintf("file-%02d", r.Intn(12)))
+						now := time.Duration(step) * 30 * time.Second
+						switch step % 5 {
+						case 0:
+							report(s.Vote(i, fid, r.Float64(), now))
+						case 1:
+							report(s.SetImplicit(i, fid, r.Float64(), now))
+						case 2:
+							if i != j {
+								report(s.RecordDownload(i, j, fid, 1<<10, now))
+							}
+						case 3:
+							if i != j {
+								report(s.RateUser(i, j, r.Float64()))
+							}
+						case 4:
+							s.Compact(now)
+						}
+					}
+				}(w)
+			}
+			// Readers at random virtual times in [0, 4h).
+			for w := 0; w < 3; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					r := sim.NewRNG(uint64(2000 + w))
+					for step := 0; step < 100; step++ {
+						now := time.Duration(r.Intn(240)) * time.Minute
+						fid := eval.FileID(fmt.Sprintf("file-%02d", r.Intn(12)))
+						switch step % 5 {
+						case 0:
+							_, err := s.Reputations(r.Intn(n), now)
+							report(err)
+						case 1:
+							tm, err := s.TM(now)
+							report(err)
+							if tm != nil {
+								_, err = s.ReputationsFromTM(tm, r.Intn(n))
+								report(err)
+							}
+						case 2:
+							owners := s.CollectOwnerEvaluations(fid, []int{0, 5, 9, 17}, now)
+							_, err := s.JudgeFile(r.Intn(n), owners, now)
+							report(err)
+						case 3:
+							if st := s.ExportState(); st.N != n {
+								report(fmt.Errorf("export saw population %d", st.N))
+							}
+						case 4:
+							_, _ = s.Evaluation(r.Intn(n), fid, now)
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if _, err := s.TM(4 * time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

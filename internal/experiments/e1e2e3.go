@@ -227,7 +227,7 @@ func E3Collusion(cfg E3Config) (*E3Result, error) {
 	}
 
 	repCfg := core.DefaultConfig()
-	engine, err := core.NewConcurrentEngine(n, repCfg)
+	engine, err := core.NewSharded(n, 1, repCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -270,10 +270,7 @@ func E3Collusion(cfg E3Config) (*E3Result, error) {
 	}
 	cliqueCfg := cfg.Clique
 	cliqueCfg.Members = clique
-	if err := engine.Locked(func(e *core.Engine) error {
-		_, err := security.InjectClique(e, cliqueCfg, rng.DeriveStream("clique"), tr.Duration())
-		return err
-	}); err != nil {
+	if _, err := security.InjectClique(engine, cliqueCfg, rng.DeriveStream("clique"), tr.Duration()); err != nil {
 		return nil, err
 	}
 	// Colluders also stuff the EigenTrust satisfaction ledger.

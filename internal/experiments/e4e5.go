@@ -168,7 +168,7 @@ func E5Steps(cfg E5Config) (*E5Result, error) {
 	// the multi-tier scheme was built for.
 	repCfg.Blend = eval.Blend{Eta: 0, Rho: 1}
 	repCfg.Alpha, repCfg.Beta, repCfg.Gamma = 1, 0, 0
-	engine, err := core.NewConcurrentEngine(cfg.Peers, repCfg)
+	engine, err := core.NewSharded(cfg.Peers, 1, repCfg)
 	if err != nil {
 		return nil, err
 	}

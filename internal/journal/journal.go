@@ -12,8 +12,10 @@
 //     framing), batched fsync, snapshot rotation with log truncation, and
 //     Open-time recovery that loads the newest valid snapshot, replays
 //     the log tail and truncates a torn final record instead of failing.
-//   - Engine (engine.go) binds a Log to internal/core's event model with
-//     a compact binary event codec.
+//   - ShardedEngine (sharded.go) binds one Log per shard of a
+//     core.Sharded to internal/core's event model, with a compact binary
+//     event codec (codec.go). One shard is the default; K shards give K
+//     independent logs that recover in parallel.
 //   - Peer (peer.go) binds a Log to internal/peer's event model for the
 //     decentralised CLI.
 //
@@ -113,7 +115,8 @@ var (
 const headerLen = 16 // magic + 8-byte big-endian sequence number
 
 // Log is one directory of WAL segments and snapshots. It is not safe for
-// concurrent use; the typed wrappers serialise access.
+// concurrent use; its owners (ShardedEngine's per-shard mutex, Peer)
+// serialise access.
 type Log struct {
 	dir   string
 	cfg   Config

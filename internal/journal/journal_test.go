@@ -70,7 +70,7 @@ func genEvents(n, count int) []core.Event {
 
 // applyToJournal routes one event through the journaled engine's typed
 // mutators — the same path a real owner uses.
-func applyToJournal(t *testing.T, je *Engine, ev core.Event) {
+func applyToJournal(t *testing.T, je *ShardedEngine, ev core.Event) {
 	t.Helper()
 	var err error
 	switch ev.Kind {
@@ -102,6 +102,20 @@ func testConfig() core.Config {
 	return cfg
 }
 
+// openOne opens dir as a one-shard journal, the layout every caller
+// gets by default, and returns its single RecoveryInfo. The shard's WAL
+// segments and snapshots live under shard0(dir).
+func openOne(dir string, n int, cfg core.Config, jcfg Config) (*ShardedEngine, RecoveryInfo, error) {
+	je, infos, err := OpenSharded(dir, n, 1, cfg, jcfg, nil)
+	if err != nil {
+		return nil, RecoveryInfo{}, err
+	}
+	return je, infos[0], nil
+}
+
+// shard0 is the log directory of a one-shard journal in dir.
+func shard0(dir string) string { return filepath.Join(dir, shardDirName(0)) }
+
 // buildUninterrupted replays events into a plain in-memory engine — the
 // ground truth a recovered engine must match bit-for-bit.
 func buildUninterrupted(t *testing.T, n int, events []core.Event) *core.Engine {
@@ -120,7 +134,7 @@ func buildUninterrupted(t *testing.T, n int, events []core.Event) *core.Engine {
 
 // checkEnginesIdentical asserts bit-identical TM and RM and equal
 // exported state between two engines.
-func checkEnginesIdentical(t *testing.T, want *core.Engine, got *core.Concurrent, now time.Duration) {
+func checkEnginesIdentical(t *testing.T, want *core.Engine, got *core.Sharded, now time.Duration) {
 	t.Helper()
 	if !reflect.DeepEqual(want.ExportState(), got.ExportState()) {
 		t.Fatal("engine state diverged after recovery")
@@ -151,7 +165,7 @@ func checkEnginesIdentical(t *testing.T, want *core.Engine, got *core.Concurrent
 
 func TestEmptyDirBootstrap(t *testing.T) {
 	dir := t.TempDir()
-	je, info, err := OpenEngine(filepath.Join(dir, "data"), 10, testConfig(), DefaultConfig())
+	je, info, err := openOne(filepath.Join(dir, "data"), 10, testConfig(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +195,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 
 	dir := t.TempDir()
 	jcfg := Config{SyncEvery: 16, SnapshotEvery: 150, KeepSnapshots: 2}
-	je, _, err := OpenEngine(dir, n, testConfig(), jcfg)
+	je, _, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +208,7 @@ func TestCrashRecoveryBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, info, err := OpenEngine(dir, n, testConfig(), jcfg)
+	recovered, info, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +231,7 @@ func TestTornFinalRecord(t *testing.T) {
 	events := genEvents(n, 40)
 	dir := t.TempDir()
 	jcfg := Config{SyncEvery: 1, SnapshotEvery: 0, KeepSnapshots: 2}
-	je, _, err := OpenEngine(dir, n, testConfig(), jcfg)
+	je, _, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +239,11 @@ func TestTornFinalRecord(t *testing.T) {
 		applyToJournal(t, je, ev)
 	}
 	// Tear the final record: chop a few bytes off the (single) segment.
-	segs := listFiles(t, dir, "wal-")
+	segs := listFiles(t, shard0(dir), "wal-")
 	if len(segs) != 1 {
 		t.Fatalf("segments = %v, want 1", segs)
 	}
-	seg := filepath.Join(dir, segs[0])
+	seg := filepath.Join(shard0(dir), segs[0])
 	st, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +252,7 @@ func TestTornFinalRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recovered, info, err := OpenEngine(dir, n, testConfig(), jcfg)
+	recovered, info, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +272,7 @@ func TestTornFinalRecord(t *testing.T) {
 	if err := recovered.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	again, info2, err := OpenEngine(dir, n, testConfig(), jcfg)
+	again, info2, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,15 +295,15 @@ func TestGarbageTail(t *testing.T) {
 	const n = 8
 	dir := t.TempDir()
 	jcfg := Config{SyncEvery: 1, SnapshotEvery: 0, KeepSnapshots: 2}
-	je, _, err := OpenEngine(dir, n, testConfig(), jcfg)
+	je, _, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range genEvents(n, 20) {
 		applyToJournal(t, je, ev)
 	}
-	segs := listFiles(t, dir, "wal-")
-	seg := filepath.Join(dir, segs[0])
+	segs := listFiles(t, shard0(dir), "wal-")
+	seg := filepath.Join(shard0(dir), segs[0])
 	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +314,7 @@ func TestGarbageTail(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, info, err := OpenEngine(dir, n, testConfig(), jcfg)
+	recovered, info, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +340,7 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 
 	dir := t.TempDir()
 	jcfg := Config{SyncEvery: 8, SnapshotEvery: 100, KeepSnapshots: 2}
-	je, _, err := OpenEngine(dir, n, testConfig(), jcfg)
+	je, _, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,14 +351,14 @@ func TestCorruptSnapshotFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snaps := listFiles(t, dir, "snap-")
+	snaps := listFiles(t, shard0(dir), "snap-")
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots on disk = %v, want 2 generations", snaps)
 	}
-	newest := filepath.Join(dir, snaps[len(snaps)-1])
+	newest := filepath.Join(shard0(dir), snaps[len(snaps)-1])
 	corruptFile(t, newest)
 
-	recovered, info, err := OpenEngine(dir, n, testConfig(), jcfg)
+	recovered, info, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +383,7 @@ func TestCleanShutdownRecoversInstantly(t *testing.T) {
 	const n = 12
 	events := genEvents(n, 120)
 	dir := t.TempDir()
-	je, _, err := OpenEngine(dir, n, testConfig(), DefaultConfig())
+	je, _, err := openOne(dir, n, testConfig(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +393,7 @@ func TestCleanShutdownRecoversInstantly(t *testing.T) {
 	if err := je.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, info, err := OpenEngine(dir, n, testConfig(), DefaultConfig())
+	recovered, info, err := openOne(dir, n, testConfig(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +415,7 @@ func TestSnapshotPruning(t *testing.T) {
 	const n = 10
 	dir := t.TempDir()
 	jcfg := Config{SyncEvery: 4, SnapshotEvery: 50, KeepSnapshots: 2}
-	je, _, err := OpenEngine(dir, n, testConfig(), jcfg)
+	je, _, err := openOne(dir, n, testConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,21 +425,22 @@ func TestSnapshotPruning(t *testing.T) {
 	if err := je.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snaps := listFiles(t, dir, "snap-")
+	snaps := listFiles(t, shard0(dir), "snap-")
 	if len(snaps) > 2 {
 		t.Fatalf("%d snapshot generations on disk, want <= 2: %v", len(snaps), snaps)
 	}
-	segs := listFiles(t, dir, "wal-")
+	segs := listFiles(t, shard0(dir), "wal-")
 	if len(segs) > 3 {
 		t.Fatalf("%d segments on disk after pruning: %v", len(segs), segs)
 	}
 }
 
-// TestPopulationMismatch: restoring a snapshot into a differently-sized
-// engine must fail loudly, not renumber peers.
+// TestPopulationMismatch: reopening a data directory with a different
+// population must fail loudly, not renumber peers. The shards.json
+// manifest pins n before any snapshot is read.
 func TestPopulationMismatch(t *testing.T) {
 	dir := t.TempDir()
-	je, _, err := OpenEngine(dir, 10, testConfig(), DefaultConfig())
+	je, _, err := openOne(dir, 10, testConfig(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +450,7 @@ func TestPopulationMismatch(t *testing.T) {
 	if err := je.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenEngine(dir, 11, testConfig(), DefaultConfig()); err == nil {
+	if _, _, err := openOne(dir, 11, testConfig(), DefaultConfig()); err == nil {
 		t.Fatal("population mismatch accepted")
 	}
 }

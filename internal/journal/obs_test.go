@@ -25,7 +25,7 @@ func seedJournal(t *testing.T, dir string, n int) uint64 {
 	t.Helper()
 	jcfg := DefaultConfig()
 	jcfg.SnapshotEvery = 0 // keep everything in the WAL tail
-	je, _, err := OpenEngine(dir, n, core.DefaultConfig(), jcfg)
+	je, _, err := openOne(dir, n, core.DefaultConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestLogObsCounts(t *testing.T) {
 	jcfg := DefaultConfig()
 	jcfg.SyncEvery = 2
 	jcfg.Obs = NewLogObs(reg, testClock())
-	je, _, err := OpenEngine(dir, 3, core.DefaultConfig(), jcfg)
+	je, _, err := openOne(dir, 3, core.DefaultConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLogObsCounts(t *testing.T) {
 	reg2 := metrics.NewRegistry()
 	jcfg2 := DefaultConfig()
 	jcfg2.Obs = NewLogObs(reg2, testClock())
-	je2, info, err := OpenEngine(dir, 3, core.DefaultConfig(), jcfg2)
+	je2, info, err := openOne(dir, 3, core.DefaultConfig(), jcfg2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLogObsRecoveryReplayCount(t *testing.T) {
 	reg := metrics.NewRegistry()
 	jcfg := DefaultConfig()
 	jcfg.Obs = NewLogObs(reg, testClock())
-	je, info, err := OpenEngine(dir, 4, core.DefaultConfig(), jcfg)
+	je, info, err := openOne(dir, 4, core.DefaultConfig(), jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestInstrumentedReplayDeterministic(t *testing.T) {
 		defer sparse.Uninstrument()
 		jcfg := DefaultConfig()
 		jcfg.Obs = NewLogObs(reg, testClock())
-		je, _, err := OpenEngine(dir, n, core.DefaultConfig(), jcfg)
+		je, _, err := openOne(dir, n, core.DefaultConfig(), jcfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,14 +12,16 @@ import (
 	"mdrep/internal/eval"
 )
 
-// ShardedEngine is the durable form of core.Sharded: each shard owns a
-// complete Log (WAL segments + snapshots) in its own subdirectory,
-// `shard-00/`, `shard-01/`, …, beside a `shards.json` manifest pinning
-// the (n, k) partitioning. Ingest goes through the group-commit path —
-// ApplyBatch partitions a batch by owner shard and each shard applies
-// its sub-batch, appends it and pays exactly one fsync, all shards in
-// parallel — so both lock handoffs and fsyncs amortise across the
-// batch and write throughput scales with K.
+// ShardedEngine is the durable form of core.Sharded, and the only
+// journal-backed engine: every mutation is made durable through a Log
+// before the call returns. Each shard owns a complete Log (WAL segments
+// + snapshots) in its own subdirectory, `shard-00/`, `shard-01/`, …,
+// beside a `shards.json` manifest pinning the (n, k) partitioning; at
+// k = 1 that is a single log under `shard-00/`. Ingest goes through the
+// group-commit path — ApplyBatch partitions a batch by owner shard and
+// each shard applies its sub-batch, appends it and pays exactly one
+// fsync, all shards in parallel — so both lock handoffs and fsyncs
+// amortise across the batch and write throughput scales with K.
 //
 // Durability shards cleanly because events with distinct owners commute
 // (see core.Sharded): each shard's log records its own events in apply
@@ -35,10 +37,11 @@ type ShardedEngine struct {
 }
 
 // journalShard pairs one shard's log with the mutex serialising its
-// apply+append pairs — the per-shard equivalent of Engine.mu, and the
-// only lock in this file. It nests outside the core shard data locks
-// (ApplyShard acquires those) and two are never held at once except in
-// ascending order (lockAllShards).
+// apply+append pairs, so the log records the shard's events in exactly
+// the order they were applied — the invariant deterministic replay
+// rests on. It is the only lock in this file. It nests outside the core
+// shard data locks (ApplyShard acquires those), and no goroutine holds
+// two of them at once.
 type journalShard struct {
 	mu  sync.Mutex
 	log *Log
@@ -196,8 +199,10 @@ func (e *ShardedEngine) Seq() uint64 {
 }
 
 // recordShard applies then journals one event on shard si, snapshotting
-// if the shard's interval has passed. Apply-first keeps invalid events
-// out of the log, exactly as Engine.record.
+// if the shard's interval has passed. Applying first keeps invalid
+// events (bad peer index, out-of-range rating) out of the log entirely —
+// replay must never fail on validation. A crash between apply and
+// append only loses an event the caller was never told was durable.
 func (e *ShardedEngine) recordShard(si int, ev core.Event) error {
 	sh := &e.shards[si]
 	sh.mu.Lock()
@@ -344,7 +349,9 @@ func (e *ShardedEngine) Snapshot() error {
 	return e.eachShard(func(si int, sh *journalShard) error { return sh.log.Snapshot() })
 }
 
-// Close snapshots and closes every shard's log.
+// Close snapshots and closes every shard's log, so the next Open
+// recovers instantly with no replay. Use Sync and drop the engine
+// without Close to simulate a crash in tests.
 func (e *ShardedEngine) Close() error {
 	return e.eachShard(func(si int, sh *journalShard) error {
 		if err := sh.log.Snapshot(); err != nil {

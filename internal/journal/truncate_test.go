@@ -35,16 +35,16 @@ func buildTailProperty(t *testing.T, n, count int) *tailProperty {
 		jcfg:   Config{SyncEvery: 1, SnapshotEvery: 0, KeepSnapshots: 2},
 	}
 	dir := t.TempDir()
-	je, _, err := OpenEngine(dir, n, testConfig(), p.jcfg)
+	je, _, err := openOne(dir, n, testConfig(), p.jcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := listFiles(t, dir, "wal-")
+	segs := listFiles(t, shard0(dir), "wal-")
 	if len(segs) != 1 {
 		t.Fatalf("segments = %v, want 1", segs)
 	}
 	p.segName = segs[0]
-	seg := filepath.Join(dir, p.segName)
+	seg := filepath.Join(shard0(dir), p.segName)
 	size := func() int64 {
 		st, err := os.Stat(seg)
 		if err != nil {
@@ -82,16 +82,19 @@ func (p *tailProperty) intactPrefix(off int64) int {
 	return k
 }
 
-// recoverFrom writes the damaged segment into a fresh directory, opens
-// the engine, and asserts it equals the uninterrupted run over the
-// expected prefix.
+// recoverFrom writes the damaged segment into a fresh directory's shard
+// log, opens the engine, and asserts it equals the uninterrupted run
+// over the expected prefix.
 func (p *tailProperty) recoverFrom(t *testing.T, damaged []byte, wantReplayed int, label string) {
 	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, p.segName), damaged, 0o644); err != nil {
+	if err := os.MkdirAll(shard0(dir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	recovered, info, err := OpenEngine(dir, p.n, testConfig(), p.jcfg)
+	if err := os.WriteFile(filepath.Join(shard0(dir), p.segName), damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered, info, err := openOne(dir, p.n, testConfig(), p.jcfg)
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}

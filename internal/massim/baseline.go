@@ -160,39 +160,22 @@ func (s *Sim) runBaselines() (*BaselineResult, error) {
 	return res, nil
 }
 
-// mirrorEngine is the slice of the trust core the mirror needs; both
-// core.Concurrent and core.Sharded satisfy it with bit-identical
-// results, so the sharded facade can be dropped in via
-// Config.MirrorShards without changing any scenario bound.
-type mirrorEngine interface {
-	ApplyBatch(evs []core.Event) error
-	Reputations(i int, now time.Duration) (map[int]float64, error)
-}
-
 // engineMirror feeds the simulator's event stream into the real
 // reputation engine through the group-commit batch path, turning the
-// engine itself into a baseline estimator at small n.
+// engine itself into a baseline estimator at small n. Every shard count
+// gives bit-identical results, so Config.MirrorShards changes no
+// scenario bound.
 type engineMirror struct {
-	eng mirrorEngine
+	eng *core.Sharded
 	buf []core.Event
 	now time.Duration
 	err error
 }
 
 func newEngineMirror(n, shards int) (*engineMirror, error) {
-	var eng mirrorEngine
-	if shards > 1 {
-		s, err := core.NewSharded(n, shards, core.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		eng = s
-	} else {
-		c, err := core.NewConcurrentEngine(n, core.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		eng = c
+	eng, err := core.NewSharded(n, max(shards, 1), core.DefaultConfig())
+	if err != nil {
+		return nil, err
 	}
 	return &engineMirror{eng: eng}, nil
 }
@@ -228,7 +211,7 @@ func (m *engineMirror) rate(rater, target int32, sat bool) {
 	})
 }
 
-// flush applies the epoch's buffered events in one lock acquisition.
+// flush applies the epoch's buffered events as one group-commit batch.
 func (m *engineMirror) flush(now time.Duration) {
 	m.now = now
 	if m.err != nil || len(m.buf) == 0 {

@@ -98,11 +98,11 @@ type Config struct {
 	Baselines   bool
 	BaselineCap int
 	// MirrorEngine additionally ingests the event stream into a real
-	// trust engine via ApplyBatch and reports its per-class
-	// reputations. Capped by MirrorCap. MirrorShards > 1 backs the
-	// mirror with a core.Sharded facade partitioned across that many
-	// shards instead of core.Concurrent; results are bit-identical, so
-	// it only exercises the sharded ingest/rebuild paths at scale.
+	// trust engine (core.Sharded) via ApplyBatch and reports its
+	// per-class reputations. Capped by MirrorCap. MirrorShards is the
+	// mirror's shard count; 0 and 1 both mean one shard. Results are
+	// bit-identical for every count, so a larger one only exercises the
+	// parallel ingest/rebuild paths at scale.
 	MirrorEngine bool
 	MirrorCap    int
 	MirrorShards int

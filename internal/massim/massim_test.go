@@ -266,7 +266,8 @@ func TestLookupUnknown(t *testing.T) {
 
 // TestMirrorShardsInvariance pins the sharded mirror as a pure
 // throughput knob: the same (scenario, seed) renders byte-for-byte
-// identically whether the mirror engine runs unsharded or at 8 shards.
+// identically whether the mirror engine runs at the default one shard or
+// at 8 shards.
 func TestMirrorShardsInvariance(t *testing.T) {
 	scn, err := Lookup("collusion-front")
 	if err != nil {
@@ -285,7 +286,7 @@ func TestMirrorShardsInvariance(t *testing.T) {
 	}
 	plain := run(0)
 	if sharded := run(8); sharded != plain {
-		t.Fatalf("sharded mirror changed the report:\n--- unsharded\n%s--- 8 shards\n%s", plain, sharded)
+		t.Fatalf("sharded mirror changed the report:\n--- one shard\n%s--- 8 shards\n%s", plain, sharded)
 	}
 }
 

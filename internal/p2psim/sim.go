@@ -108,7 +108,7 @@ func (r *Result) FakeFraction() float64 {
 type Sim struct {
 	cfg       Config
 	rng       *sim.RNG
-	engine    *core.Concurrent
+	engine    *core.Sharded
 	behaviors []Behavior
 	titles    [][]*version
 	servers   []*incentive.Server
@@ -124,7 +124,7 @@ func New(cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	engine, err := core.NewConcurrentEngine(cfg.Peers, cfg.Reputation)
+	engine, err := core.NewSharded(cfg.Peers, 1, cfg.Reputation)
 	if err != nil {
 		return nil, err
 	}

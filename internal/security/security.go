@@ -174,7 +174,7 @@ func (c CliqueConfig) Validate() error {
 // mutual top ratings (UM), fabricated download volume (DM), and identical
 // evaluations on synthetic files (FM). Returns the synthetic file IDs so
 // the experiment can exclude them from legitimate catalogues.
-func InjectClique(e *core.Engine, cfg CliqueConfig, rng *sim.RNG, now time.Duration) ([]eval.FileID, error) {
+func InjectClique(e *core.Sharded, cfg CliqueConfig, rng *sim.RNG, now time.Duration) ([]eval.FileID, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -140,7 +140,7 @@ func TestCliqueConfigValidation(t *testing.T) {
 func TestCliqueCannotBuyOutsideTrust(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Steps = 2
-	e, err := core.NewEngine(10, cfg)
+	e, err := core.NewSharded(10, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCliqueCannotBuyOutsideTrust(t *testing.T) {
 // Eq. (9) weights evaluator reputation from the requester's own view.
 func TestCliqueInflatesInsideViews(t *testing.T) {
 	cfg := core.DefaultConfig()
-	e, err := core.NewEngine(6, cfg)
+	e, err := core.NewSharded(6, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCliqueInflatesInsideViews(t *testing.T) {
 }
 
 func TestInjectCliqueErrors(t *testing.T) {
-	e, err := core.NewEngine(3, core.DefaultConfig())
+	e, err := core.NewSharded(3, 1, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

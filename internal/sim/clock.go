@@ -3,7 +3,7 @@ package sim
 import "time"
 
 // Clock is a virtual simulation clock. Time starts at zero and advances
-// only when the scheduler executes events; it never reads the wall clock.
+// only when a Wheel pops events; it never reads the wall clock.
 type Clock struct {
 	now time.Duration
 }
@@ -12,7 +12,7 @@ type Clock struct {
 // epoch.
 func (c *Clock) Now() time.Duration { return c.now }
 
-// advance moves the clock forward. The scheduler is the only caller; time
+// advance moves the clock forward. The Wheel is the only caller; time
 // never moves backwards.
 func (c *Clock) advance(t time.Duration) {
 	if t > c.now {

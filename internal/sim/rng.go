@@ -1,5 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation kernel:
-// a virtual clock, an event heap, and seed-derived random number streams.
+// a virtual clock, a timing-wheel event queue, and seed-derived random
+// number streams.
 //
 // Every stochastic component of the reproduction draws from an RNG stream
 // derived from a single experiment seed, so runs are reproducible

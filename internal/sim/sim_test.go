@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -148,130 +147,5 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-1) > 0.03 {
 		t.Fatalf("exponential mean %v too far from 1", mean)
-	}
-}
-
-func TestSchedulerOrdersEvents(t *testing.T) {
-	s := NewScheduler()
-	var order []int
-	s.At(30*time.Second, func(time.Duration) { order = append(order, 3) })
-	s.At(10*time.Second, func(time.Duration) { order = append(order, 1) })
-	s.At(20*time.Second, func(time.Duration) { order = append(order, 2) })
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events ran out of order: %v", order)
-	}
-	if s.Now() != 30*time.Second {
-		t.Fatalf("clock at %v, want 30s", s.Now())
-	}
-}
-
-func TestSchedulerFIFOAtSameInstant(t *testing.T) {
-	s := NewScheduler()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.At(time.Second, func(time.Duration) { order = append(order, i) })
-	}
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-instant events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestSchedulerHorizon(t *testing.T) {
-	s := NewScheduler()
-	ran := false
-	s.At(time.Hour, func(time.Duration) { ran = true })
-	if err := s.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("event past horizon was executed")
-	}
-	if s.Now() != time.Minute {
-		t.Fatalf("clock at %v, want horizon 1m", s.Now())
-	}
-	if s.Len() != 1 {
-		t.Fatalf("pending events = %d, want 1", s.Len())
-	}
-}
-
-func TestSchedulerStop(t *testing.T) {
-	s := NewScheduler()
-	count := 0
-	s.At(time.Second, func(time.Duration) { count++; s.Stop() })
-	s.At(2*time.Second, func(time.Duration) { count++ })
-	err := s.Run(0)
-	if err != ErrStopped {
-		t.Fatalf("Run err = %v, want ErrStopped", err)
-	}
-	if count != 1 {
-		t.Fatalf("ran %d events after Stop, want 1", count)
-	}
-}
-
-func TestSchedulerAfterNesting(t *testing.T) {
-	s := NewScheduler()
-	var times []time.Duration
-	s.After(time.Second, func(now time.Duration) {
-		times = append(times, now)
-		s.After(time.Second, func(now time.Duration) {
-			times = append(times, now)
-		})
-	})
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if len(times) != 2 || times[0] != time.Second || times[1] != 2*time.Second {
-		t.Fatalf("nested After times = %v", times)
-	}
-}
-
-func TestSchedulerEvery(t *testing.T) {
-	s := NewScheduler()
-	ticks := 0
-	s.Every(time.Minute, func(time.Duration) bool {
-		ticks++
-		return ticks < 5
-	})
-	if err := s.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 5 {
-		t.Fatalf("ticks = %d, want 5", ticks)
-	}
-}
-
-func TestSchedulerPastEventRunsNow(t *testing.T) {
-	s := NewScheduler()
-	s.At(10*time.Second, func(now time.Duration) {
-		s.At(time.Second, func(now time.Duration) {
-			if now != 10*time.Second {
-				t.Errorf("past event ran at %v, want clamped to 10s", now)
-			}
-		})
-	})
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSchedulerExecutedCount(t *testing.T) {
-	s := NewScheduler()
-	for i := 0; i < 25; i++ {
-		s.At(time.Duration(i)*time.Second, func(time.Duration) {})
-	}
-	if err := s.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if s.Executed != 25 {
-		t.Fatalf("Executed = %d, want 25", s.Executed)
 	}
 }

@@ -24,16 +24,15 @@ type wheelItem[T any] struct {
 }
 
 // Wheel is a hierarchical timing wheel: the event queue of the
-// million-peer simulator. Compared to the Scheduler's binary heap it
-// stores plain payload values instead of closures (no per-event
-// allocation beyond slot-slice growth) and pops in amortised O(1) per
-// event, skipping empty stretches of virtual time through per-level
-// occupancy bitmaps instead of ticking through them.
+// million-peer simulator. It stores plain payload values instead of
+// closures (no per-event allocation beyond slot-slice growth) and pops
+// in amortised O(1) per event, skipping empty stretches of virtual time
+// through per-level occupancy bitmaps instead of ticking through them.
 //
-// Determinism contract: Next returns items in nondecreasing virtual-time
-// order, FIFO among items scheduled for the same tick, exactly like the
-// Scheduler's (at, seq) heap order. The wheel advances the attached
-// virtual Clock as it pops and never reads the wall clock.
+// Determinism contract: Next returns items ordered by (tick, insertion
+// sequence) — nondecreasing virtual time, FIFO among items scheduled
+// for the same tick. The wheel advances the attached virtual Clock as
+// it pops and never reads the wall clock.
 type Wheel[T any] struct {
 	clock *Clock
 	tick  time.Duration
@@ -81,8 +80,8 @@ func (w *Wheel[T]) Tick() time.Duration { return w.tick }
 func (w *Wheel[T]) Len() int { return w.count }
 
 // Schedule enqueues payload at absolute virtual time at, rounded up to
-// the next tick. Times in the past run at the current time; the wheel,
-// like the Scheduler, never rewinds.
+// the next tick. Times in the past run at the current time; the wheel
+// never rewinds.
 //
 //mdrep:hotpath
 func (w *Wheel[T]) Schedule(at time.Duration, payload T) {

@@ -9,8 +9,8 @@ import (
 // TestWheelMatchesReference drives the wheel and a sorted-slice reference
 // queue with an identical randomized schedule — including items inserted
 // mid-drain — and requires identical pop order. This pins the wheel to
-// the Scheduler's (at, seq) heap semantics across level boundaries,
-// cascades and overflow jumps.
+// (tick, insertion sequence) order across level boundaries, cascades
+// and overflow jumps.
 func TestWheelMatchesReference(t *testing.T) {
 	type ref struct {
 		at  uint64 // ticks

@@ -15,7 +15,7 @@ import (
 // map-backed Matrix is the mutable builder; freezing it into a CSR gives
 // the trust algebra a compact, cache-friendly, safely shareable form —
 // readers may use a CSR concurrently without synchronisation, which is
-// what core.Concurrent's shared read path relies on.
+// what core.Sharded's lock-free read path relies on.
 //
 // All CSR kernels are bit-identical to their Matrix counterparts: per
 // output entry, floating-point contributions accumulate in the same

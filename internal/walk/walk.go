@@ -28,9 +28,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"mdrep/internal/core"
 	"mdrep/internal/fault"
 	"mdrep/internal/obs"
 	"mdrep/internal/sim"
@@ -64,7 +62,7 @@ type RowSource interface {
 }
 
 // LocalSource serves rows from a frozen sparse.CSR snapshot — typically
-// core.Concurrent.TM(now), which is already row-normalized. It is the
+// core.Sharded.TM(now), whose rows already sum to at most 1. It is the
 // exact-kernel twin the DHT source is cross-validated against.
 type LocalSource struct {
 	tm *sparse.CSR
@@ -93,22 +91,6 @@ func (s *LocalSource) Row(_ obs.SpanContext, user int) ([]int32, []float64, erro
 }
 
 var _ RowSource = (*LocalSource)(nil)
-
-// NewConcurrentSource snapshots a live engine's trust matrix at time now
-// and wraps it as a LocalSource: the bridge from the core engine to the
-// walk estimator (and, via PublishRows on the same snapshot, to the
-// DHT). The snapshot is frozen — later engine writes do not leak into a
-// running estimate.
-func NewConcurrentSource(eng *core.Concurrent, now time.Duration) (*LocalSource, error) {
-	if eng == nil {
-		return nil, fault.Terminal(errors.New("walk: nil engine"))
-	}
-	tm, err := eng.TM(now)
-	if err != nil {
-		return nil, fmt.Errorf("walk: snapshot trust matrix: %w", err)
-	}
-	return NewLocalSource(tm)
-}
 
 // Config tunes one estimator.
 type Config struct {

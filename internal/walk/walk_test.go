@@ -6,9 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
-	"mdrep/internal/core"
 	"mdrep/internal/fault"
 	"mdrep/internal/metrics"
 	"mdrep/internal/obs"
@@ -210,50 +208,6 @@ func TestEstimateSeedSensitive(t *testing.T) {
 	}
 	if reflect.DeepEqual(run(1), run(2)) {
 		t.Fatal("seeds 1 and 2 produced identical estimates")
-	}
-}
-
-// The engine bridge: a source snapshotted from a live core.Concurrent
-// walks the same matrix the engine's exact kernels use.
-func TestNewConcurrentSource(t *testing.T) {
-	eng, err := core.NewConcurrentEngine(3, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RateUser(0, 1, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RateUser(1, 2, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewConcurrentSource(eng, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := New(src, Config{Walks: 20000, Depth: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := est.Estimate(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm, err := eng.TM(time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := tm.RowVecPow(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine's TM folds dimension weights in (rows sum below 1, so
-	// most walks die) — the estimate converges to the exact kernel's
-	// answer statistically, 20k walks putting 0.01 at ≈ 7σ.
-	if e := MaxAbsError(got, exact); e > 0.01 {
-		t.Fatalf("engine-sourced estimate %v diverges from exact %v (max err %v)", got, exact, e)
-	}
-	if _, err := NewConcurrentSource(nil, 0); !fault.IsTerminal(err) {
-		t.Fatalf("nil engine: err = %v, want fault.Terminal", err)
 	}
 }
 

@@ -100,9 +100,8 @@ func WithMetrics(reg *MetricsRegistry, clock func() time.Time) Option {
 // WithShards partitions the trust core across k shards (consistent
 // hash on peer index): mutations for different shards proceed in
 // parallel, batches group-commit per shard, and rebuilds run one worker
-// per shard — all with bit-identical results to the unsharded engine
-// for any k. Values of 0 or 1 keep the single-lock core.Concurrent
-// facade.
+// per shard — all with bit-identical results for any k. Values of 0 or
+// 1 mean one shard, the default.
 func WithShards(k int) Option {
 	return func(o *options) error {
 		if k < 0 || k > core.MaxShards {
@@ -124,32 +123,14 @@ func WithIncentivePolicy(p incentive.Policy) Option {
 	}
 }
 
-// trustCore is the engine surface System depends on. Both facades over
-// the trust core satisfy it: core.Concurrent (one writer lock) and
-// core.Sharded (K independent shard locks); they produce bit-identical
-// results, so which one backs a System is purely a throughput choice.
-type trustCore interface {
-	N() int
-	RecordDownload(downloader, uploader int, f eval.FileID, size int64, now time.Duration) error
-	Vote(p int, f eval.FileID, value float64, now time.Duration) error
-	ObserveRetention(p int, f eval.FileID, retention time.Duration, deleted bool, now time.Duration) error
-	Evaluation(p int, f eval.FileID, now time.Duration) (float64, bool)
-	RateUser(i, j int, value float64) error
-	AddFriend(i, j int) error
-	Blacklist(i, j int) error
-	Reputations(i int, now time.Duration) (map[int]float64, error)
-	JudgeFile(i int, owners []core.OwnerEvaluation, now time.Duration) (core.Judgement, error)
-	CollectOwnerEvaluations(f eval.FileID, owners []int, now time.Duration) []core.OwnerEvaluation
-	Compact(now time.Duration)
-}
-
 // System is the public face of the reputation system for a population of
-// peers indexed [0, n). It is safe for concurrent use: mutations
-// serialise behind a writer lock (per shard when built WithShards) while
-// reputation queries walk an immutable frozen snapshot of the trust
-// matrix, so queries from many goroutines proceed in parallel.
+// peers indexed [0, n), backed by a core.Sharded trust core (one shard
+// unless built WithShards). It is safe for concurrent use: mutations
+// serialise behind their owner shard's lock while reputation queries
+// walk an immutable frozen snapshot of the trust matrix, so queries
+// from many goroutines proceed in parallel.
 type System struct {
-	engine trustCore
+	engine *core.Sharded
 	policy incentive.Policy
 }
 
@@ -169,23 +150,14 @@ func NewSystem(n int, opts ...Option) (*System, error) {
 			clock = obs.Clock(obs.WallClock)
 		}
 	}
-	if o.shards > 1 {
-		engine, err := core.NewSharded(n, o.shards, o.rep)
-		if err != nil {
-			return nil, err
-		}
-		if o.reg != nil {
-			engine.SetObserver(core.NewEngineObs(o.reg, clock))
-			engine.SetShardObserver(core.NewShardedObs(o.reg, clock, o.shards))
-		}
-		return &System{engine: engine, policy: o.policy}, nil
-	}
-	engine, err := core.NewConcurrentEngine(n, o.rep)
+	k := max(o.shards, 1)
+	engine, err := core.NewSharded(n, k, o.rep)
 	if err != nil {
 		return nil, err
 	}
 	if o.reg != nil {
 		engine.SetObserver(core.NewEngineObs(o.reg, clock))
+		engine.SetShardObserver(core.NewShardedObs(o.reg, clock, k))
 	}
 	return &System{engine: engine, policy: o.policy}, nil
 }

@@ -239,9 +239,9 @@ func shardParityScript(t *testing.T, sys *System) {
 	sys.Compact(3 * time.Minute)
 }
 
-// TestWithShardsParity proves the sharded facade is a drop-in: the same
-// script through an unsharded and a 4-shard System yields bit-identical
-// reputations, evaluations and judgements.
+// TestWithShardsParity proves the shard count is purely a throughput
+// choice: the same script through a default one-shard and a 4-shard
+// System yields bit-identical reputations, evaluations and judgements.
 func TestWithShardsParity(t *testing.T) {
 	opts := []Option{WithWindow(2 * time.Hour), WithFakeThreshold(0.4)}
 	plain, err := NewSystem(10, opts...)
@@ -252,8 +252,8 @@ func TestWithShardsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sharded.engine.(*core.Sharded); !ok {
-		t.Fatalf("WithShards(4) backed by %T, want *core.Sharded", sharded.engine)
+	if k := sharded.engine.K(); k != 4 {
+		t.Fatalf("WithShards(4) backed by %d shards, want 4", k)
 	}
 	shardParityScript(t, plain)
 	shardParityScript(t, sharded)
@@ -306,8 +306,8 @@ func TestWithShardsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sys.engine.(*core.Concurrent); !ok {
-		t.Fatalf("WithShards(1) backed by %T, want *core.Concurrent", sys.engine)
+	if k := sys.engine.K(); k != 1 {
+		t.Fatalf("WithShards(1) backed by %d shards, want 1", k)
 	}
 }
 
