@@ -25,6 +25,8 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -cpu 1,4 -run 'Verify|Signed|Sync|Judge|Storage' \
+		./internal/eval ./internal/peer ./internal/dht
 
 # lint builds the repo's own go/analysis suite (cmd/mdrep-lint) and runs
 # it through the go vet vettool protocol, then standard vet and gofmt.
@@ -149,7 +151,7 @@ bench:
 # run down, so min-of-N damps the noise a single long run cannot.
 # Five repeats, not three: fsync-bound and sub-microsecond benchmarks
 # still flapped past the 15% gate run-to-run at min-of-3 on 1-CPU hosts.
-BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate|BenchmarkTCPRoundTrip
+BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate|BenchmarkTCPRoundTrip|BenchmarkPeerSync
 BENCH_COUNT := 5
 BENCH_TIME  := 0.5s
 

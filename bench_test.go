@@ -25,6 +25,7 @@ import (
 	"mdrep/internal/journal"
 	"mdrep/internal/obs"
 	"mdrep/internal/p2psim"
+	"mdrep/internal/peer"
 	"mdrep/internal/sim"
 	"mdrep/internal/sparse"
 	"mdrep/internal/trace"
@@ -164,6 +165,13 @@ func BenchmarkE6DHT(b *testing.B) {
 // buildLoadedEngine returns an engine with a realistic evidence load.
 func buildLoadedEngine(b *testing.B, peers, downloads int) *core.Engine {
 	b.Helper()
+	return loadEngine(b, peers, loadedTrace(b, peers, downloads))
+}
+
+// loadedTrace generates the synthetic download trace buildLoadedEngine
+// replays: peers users, 4 files per user, downloads transfers.
+func loadedTrace(b *testing.B, peers, downloads int) *trace.Trace {
+	b.Helper()
 	tc := trace.DefaultGenConfig()
 	tc.Peers = peers
 	tc.Files = peers * 4
@@ -172,6 +180,13 @@ func buildLoadedEngine(b *testing.B, peers, downloads int) *core.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return tr
+}
+
+// loadEngine replays tr into a fresh engine: each transfer is a download
+// plus a 0.9 retention evaluation by both ends.
+func loadEngine(b *testing.B, peers int, tr *trace.Trace) *core.Engine {
+	b.Helper()
 	engine, err := core.NewEngine(peers, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -192,17 +207,61 @@ func buildLoadedEngine(b *testing.B, peers, downloads int) *core.Engine {
 }
 
 // BenchmarkTrustMatrixBuild measures building TM (FM + DM + UM) from a
-// loaded engine — the per-epoch cost of the system.
+// loaded engine — the per-epoch cost of the system — in three regimes:
+//   - cold: a fresh engine's first build, every row computed (the engine
+//     is loaded with the timer stopped);
+//   - incremental: one changed vote, then the rebuild of the rows it
+//     dirtied;
+//   - cached: nothing changed since the last build, so BuildTM returns
+//     the cached matrix.
 func BenchmarkTrustMatrixBuild(b *testing.B) {
-	engine := buildLoadedEngine(b, 300, 20000)
+	const peers, downloads = 300, 20000
 	now := 30 * 24 * time.Hour
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	b.Run("cold", func(b *testing.B) {
+		tr := loadedTrace(b, peers, downloads)
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			engine := loadEngine(b, peers, tr)
+			b.StartTimer()
+			if _, err := engine.BuildTM(now); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("incremental", func(b *testing.B) {
+		tr := loadedTrace(b, peers, downloads)
+		engine := loadEngine(b, peers, tr)
 		if _, err := engine.BuildTM(now); err != nil {
 			b.Fatal(err)
 		}
-	}
+		// Every op flips the same vote, so each dirties the same rows and
+		// costs the same whatever b.N is: the downloader of the trace's
+		// middle transfer voting on that file.
+		mid := tr.Records[len(tr.Records)/2]
+		f := eval.FileID(trace.FileHash(mid.File))
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := engine.Vote(mid.Downloader, f, float64(i%2), now); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := engine.BuildTM(now); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		engine := buildLoadedEngine(b, peers, downloads)
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.BuildTM(now); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkReputationQuery measures one peer's multi-trust row against a
@@ -493,6 +552,50 @@ func BenchmarkSignVerify(b *testing.B) {
 		}
 		if err := info.Verify(dir); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPeerSync measures one evaluation-list exchange (§4.1 step 4)
+// over the in-memory network: the owner serves its 48-entry signed list
+// (one SignedEvaluations) and the syncing peer verifies all 48 entries.
+// It is the stage that dominates a judge-tcp op in perfbench, without
+// the sockets.
+func BenchmarkPeerSync(b *testing.B) {
+	const files = 48
+	dir := identity.NewDirectory()
+	ex := peer.NewExchange()
+	var peers []*peer.Peer
+	for seed := uint64(1); seed <= 2; seed++ {
+		id, err := identity.Generate(identity.NewDeterministicReader(seed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dir.Register(id.PublicKey()); err != nil {
+			b.Fatal(err)
+		}
+		p, err := peer.New(id, dir, ex, peer.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ex.Register(p)
+		peers = append(peers, p)
+	}
+	syncer, owner := peers[0], peers[1]
+	for f := 0; f < files; f++ {
+		file := eval.FileID(fmt.Sprintf("file-%02d", f))
+		owner.Vote(file, float64(f%10)/9)
+		syncer.Vote(file, float64(f%7)/6)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n, err := syncer.SyncPeer(owner.ID())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != files {
+			b.Fatalf("synced %d entries, want %d", n, files)
 		}
 	}
 }

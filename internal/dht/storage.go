@@ -52,17 +52,26 @@ func NewStorage(ttl time.Duration, dir *identity.Directory) *Storage {
 // Put merges records into the store. A record replaces an existing one
 // from the same owner only if its evaluation timestamp is not older
 // (republication refreshes; replayed stale records are ignored). It
-// returns the number of records accepted.
+// returns the number of records accepted. With a directory, every
+// record's signature is checked first, in parallel (eval.VerifyAll) and
+// before the store is locked, so readers do not wait on verification;
+// the records that pass are then merged in input order.
 func (s *Storage) Put(recs []StoredRecord) int {
+	var errs []error
+	if s.verify != nil {
+		infos := make([]eval.Info, len(recs))
+		for i := range recs {
+			infos[i] = recs[i].Info
+		}
+		errs = eval.VerifyAll(s.verify, infos)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	accepted := 0
 	now := s.now()
-	for _, r := range recs {
-		if s.verify != nil {
-			if err := r.Info.Verify(s.verify); err != nil {
-				continue
-			}
+	for i, r := range recs {
+		if errs != nil && errs[i] != nil {
+			continue // forged record
 		}
 		perOwner := s.records[r.Key]
 		if perOwner == nil {

@@ -1,6 +1,8 @@
 package dht
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -116,6 +118,106 @@ func TestStorageSignatureVerification(t *testing.T) {
 	got := s.Get(1)
 	if len(got) != 1 || got[0].Info.Evaluation != 0.7 {
 		t.Fatalf("stored record wrong: %+v", got)
+	}
+}
+
+// TestStorageConcurrentPutHidesForgeries runs Put from several writers,
+// each batch mixing honest records with forged ones that carry newer
+// timestamps, while readers Get every key; run it under -race. No reader
+// may ever see a record that fails verification, and each slot ends on
+// its owner's newest honest record.
+func TestStorageConcurrentPutHidesForgeries(t *testing.T) {
+	const owners, keys, rounds = 4, 8, 10
+	dir := identity.NewDirectory()
+	batches := make([][][]StoredRecord, owners) // [owner][round]
+	for o := range batches {
+		id, err := identity.Generate(identity.NewDeterministicReader(uint64(100 + o)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dir.Register(id.PublicKey()); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < rounds; r++ {
+			var batch []StoredRecord
+			for k := 0; k < keys; k++ {
+				in := eval.Info{FileID: "f", OwnerID: id.ID(), Evaluation: float64(r) / rounds, Timestamp: time.Duration(r)}
+				if err := in.Sign(id); err != nil {
+					t.Fatal(err)
+				}
+				forged := in
+				forged.Timestamp++
+				batch = append(batch, StoredRecord{Key: ID(k), Info: forged}, StoredRecord{Key: ID(k), Info: in})
+			}
+			batches[o] = append(batches[o], batch)
+		}
+	}
+	s := NewStorage(0, dir)
+	stop := make(chan struct{})
+	bad := make(chan string, owners+2)
+	var readers, writers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				for k := 0; k < keys; k++ {
+					for _, r := range s.Get(ID(k)) {
+						if err := r.Info.Verify(dir); err != nil {
+							bad <- fmt.Sprintf("key %d: forged record visible: %+v", k, r.Info)
+							return
+						}
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for o := range batches {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for _, batch := range batches[o] {
+				if n := s.Put(batch); n != keys {
+					bad <- fmt.Sprintf("owner %d: Put accepted %d of %d honest records", o, n, keys)
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	close(bad)
+	for msg := range bad {
+		t.Fatal(msg)
+	}
+	for k := 0; k < keys; k++ {
+		got := s.Get(ID(k))
+		if len(got) != owners {
+			t.Fatalf("key %d holds %d records, want %d", k, len(got), owners)
+		}
+		for _, r := range got {
+			if r.Info.Timestamp != rounds-1 {
+				t.Fatalf("key %d: owner %s ends at timestamp %d, want %d", k, r.Info.OwnerID, r.Info.Timestamp, rounds-1)
+			}
+		}
+	}
+}
+
+// TestStoragePutWithoutDirectoryAllocatesNothing: a ring without a
+// directory stores unsigned records, and refreshing stored records costs
+// no allocation for verification it does not do.
+func TestStoragePutWithoutDirectoryAllocatesNothing(t *testing.T) {
+	s := NewStorage(0, nil)
+	batch := []StoredRecord{rec(1, "a", 0.9, 0), rec(1, "b", 0.5, 0), rec(2, "a", 0.1, 0)}
+	s.Put(batch)
+	if allocs := testing.AllocsPerRun(100, func() { s.Put(batch) }); allocs != 0 {
+		t.Fatalf("Put without a directory allocated %v times per call", allocs)
 	}
 }
 

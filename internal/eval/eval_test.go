@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -306,5 +308,85 @@ func TestInfoMarshalRoundTrip(t *testing.T) {
 func TestUnmarshalInfoRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalInfo([]byte("{not json")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestVerifyAllMatchesSequential checks VerifyAll's per-index results
+// against Info.Verify one record at a time, at several worker counts and
+// batch sizes, with forged, unknown-owner and out-of-range records at the
+// first and last index and on both sides of every chunk boundary.
+func TestVerifyAllMatchesSequential(t *testing.T) {
+	dir := identity.NewDirectory()
+	var owners []*identity.Identity
+	for seed := uint64(600); seed < 603; seed++ {
+		id, err := identity.Generate(identity.NewDeterministicReader(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dir.Register(id.PublicKey()); err != nil {
+			t.Fatal(err)
+		}
+		owners = append(owners, id)
+	}
+	stranger, err := identity.Generate(identity.NewDeterministicReader(699))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sign := func(id *identity.Identity, k int, value float64) Info {
+		in := Info{FileID: FileID(fmt.Sprintf("f%03d", k)), OwnerID: id.ID(), Evaluation: value, Timestamp: time.Duration(k)}
+		if err := in.Sign(id); err != nil {
+			t.Fatal(err)
+		}
+		return in
+	}
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, n := range []int{0, 1, 2, 47, 48, 49, 97} {
+		bad := make(map[int]bool)
+		if n > 0 {
+			bad[0], bad[n-1] = true, true
+		}
+		for _, workers := range []int{2, 4} {
+			for w := 1; w < min(workers, n); w++ {
+				start := w * n / min(workers, n)
+				bad[start-1], bad[start] = true, true
+			}
+		}
+		infos := make([]Info, n)
+		kind := 0
+		for k := range infos {
+			infos[k] = sign(owners[k%len(owners)], k, float64(k%11)/10)
+			if !bad[k] {
+				continue
+			}
+			switch kind % 3 {
+			case 0: // forged: altered after signing
+				infos[k].Evaluation = math.Mod(infos[k].Evaluation+0.5, 1)
+			case 1: // signed by a key the directory does not know
+				infos[k] = sign(stranger, k, 0.5)
+			case 2: // validly signed but outside [0,1]
+				infos[k] = sign(owners[0], k, 1.5)
+			}
+			kind++
+		}
+		want := make([]error, n)
+		for k := range infos {
+			want[k] = infos[k].Verify(dir)
+			if (want[k] != nil) != bad[k] {
+				t.Fatalf("n=%d: record %d: Verify = %v, bad = %v", n, k, want[k], bad[k])
+			}
+		}
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got := VerifyAll(dir, infos)
+			if len(got) != n {
+				t.Fatalf("n=%d GOMAXPROCS=%d: %d results", n, procs, len(got))
+			}
+			for k := range got {
+				if fmt.Sprint(got[k]) != fmt.Sprint(want[k]) {
+					t.Fatalf("n=%d GOMAXPROCS=%d: record %d: VerifyAll = %v, Verify = %v", n, procs, k, got[k], want[k])
+				}
+			}
+		}
 	}
 }

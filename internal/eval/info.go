@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"mdrep/internal/identity"
@@ -64,6 +66,34 @@ func (in *Info) Verify(dir *identity.Directory) error {
 		return ErrOutOfRange
 	}
 	return dir.VerifyWith(in.OwnerID, in.canonicalBytes(), in.Signature)
+}
+
+// VerifyAll runs Verify on every record and returns the results by
+// index: errs[i] is infos[i].Verify(dir). The records are split into
+// contiguous index ranges checked on up to GOMAXPROCS goroutines, so the
+// results, and anything a caller merges from them in index order, do not
+// depend on the worker count. With one worker or one record it runs on
+// the calling goroutine alone. dir is only read.
+func VerifyAll(dir *identity.Directory, infos []Info) []error {
+	n := len(infos)
+	errs := make([]error, n)
+	workers := max(1, min(runtime.GOMAXPROCS(0), n))
+	verifyRange := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			errs[i] = infos[i].Verify(dir)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			verifyRange(w*n/workers, (w+1)*n/workers)
+		}()
+	}
+	verifyRange(0, n/workers)
+	wg.Wait()
+	return errs
 }
 
 // Marshal encodes the record as JSON for DHT storage and the TCP wire.

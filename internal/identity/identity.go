@@ -80,6 +80,11 @@ func Verify(claimed PeerID, pub ed25519.PublicKey, msg, sig []byte) error {
 // Directory maps peer IDs to public keys. In a deployed system this is a
 // PKI or a self-certifying namespace; in the reproduction it is populated
 // when peers join.
+//
+// A Directory has no lock: fill it with Register during setup and treat
+// it as read-only afterwards. Lookups and verifications may then run on
+// many goroutines at once (eval.VerifyAll does), but a Register
+// concurrent with any of them is a data race.
 type Directory struct {
 	keys map[PeerID]ed25519.PublicKey
 }

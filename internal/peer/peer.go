@@ -112,6 +112,10 @@ type Peer struct {
 	examIdx  map[identity.PeerID]int
 	examSeq  int
 	queue    *incentive.Queue
+
+	// signed reuses the signatures SignedEvaluations served before. It
+	// has its own lock, so serving does not hold mu while signing.
+	signed signMemo
 }
 
 type downloadEntry struct {
@@ -229,28 +233,28 @@ func (p *Peer) Blacklist(target identity.PeerID) {
 }
 
 // SignedEvaluations returns the peer's current evaluation list as signed
-// EvaluationInfo records — what it serves to other peers (and publishes
-// to the DHT with its file index entries).
+// EvaluationInfo records sorted by file — what it serves to other peers
+// (and publishes to the DHT with its file index entries). Every record is
+// stamped with the peer's clock at the time of the call. An entry whose
+// file, evaluation and timestamp match the last one served for that file
+// reuses that entry's signature instead of signing again; ed25519 is
+// deterministic, so the bytes are the same either way. The returned
+// records, signatures included, are the caller's to keep or alter.
 func (p *Peer) SignedEvaluations() ([]eval.Info, error) {
 	p.mu.RLock()
 	snap := p.store.Snapshot(p.now)
 	now := p.now
 	p.mu.RUnlock()
-	out := make([]eval.Info, 0, len(snap))
-	for f, v := range snap {
-		info := eval.Info{FileID: f, OwnerID: p.ID(), Evaluation: v, Timestamp: now}
-		if err := info.Sign(p.id); err != nil {
-			return nil, err
-		}
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FileID < out[j].FileID })
-	return out, nil
+	return p.signed.sign(p.id, snap, now)
 }
 
-// SyncPeer fetches the target's evaluation list (§4.1 step 4), verifies
-// each entry's signature, caches it, and feeds the examiner. It returns
-// the number of verified entries.
+// SyncPeer fetches the target's evaluation list (§4.1 step 4), caches
+// it, and feeds the examiner. It returns the number of verified entries.
+// Entries that name another owner are relayed garbage and are dropped
+// unchecked. Every other entry's signature is verified on every sync,
+// even if the same list was verified before; the checks run in parallel
+// (eval.VerifyAll) and the verified entries are merged in fetch order,
+// so the cached list is the same at any GOMAXPROCS.
 func (p *Peer) SyncPeer(target identity.PeerID) (n int, err error) {
 	if target == p.ID() {
 		return 0, fault.Terminal(errors.New("peer: cannot sync with self"))
@@ -266,12 +270,14 @@ func (p *Peer) SyncPeer(target identity.PeerID) (n int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("peer: fetch %s: %w", target, err)
 	}
+	relayed := func(in eval.Info) bool { return in.OwnerID != target }
+	if slices.ContainsFunc(infos, relayed) {
+		infos = slices.DeleteFunc(slices.Clone(infos), relayed)
+	}
+	errs := eval.VerifyAll(p.dir, infos)
 	list := make(map[eval.FileID]float64, len(infos))
-	for _, in := range infos {
-		if in.OwnerID != target {
-			continue // relayed garbage
-		}
-		if err := in.Verify(p.dir); err != nil {
+	for i, in := range infos {
+		if errs[i] != nil {
 			continue // forged entry
 		}
 		list[in.FileID] = in.Evaluation
@@ -396,16 +402,17 @@ func (p *Peer) TrustRow() map[identity.PeerID]float64 {
 }
 
 // JudgeFile computes R_f (Eq. 9) from DHT-retrieved evaluator records,
-// verifying each record's signature first (§4.2 attack 1).
+// verifying each record's signature first (§4.2 attack 1). Records
+// outside [0,1] are dropped without a signature check. The checks run in
+// parallel (eval.VerifyAll) and the verified records are summed in input
+// order, so R_f has the same bits at any GOMAXPROCS.
 func (p *Peer) JudgeFile(records []eval.Info) (core.Judgement, error) {
 	row := p.TrustRow()
+	errs := eval.VerifyAll(p.dir, records)
 	var num, den float64
-	for _, in := range records {
-		if in.Evaluation < 0 || in.Evaluation > 1 {
-			continue
-		}
-		if err := in.Verify(p.dir); err != nil {
-			continue
+	for i, in := range records {
+		if errs[i] != nil {
+			continue // forged or outside [0,1]
 		}
 		r := row[in.OwnerID]
 		if r <= 0 {
