@@ -126,9 +126,15 @@ sim:
 # peer daemon's metrics over a one-shard journal, and the whole journal
 # package: the one-shard crash suite (torn and garbage tails, snapshot
 # fallback, WAL truncation at every byte offset) and per-shard recovery.
+# The incremental rebuild suite (row store and TM patch against the map
+# reference builders at K = 1 and 3) and the store's expiry bound run at
+# -cpu 1,4: four procs reach the patch kernel's parallel path.
 shard:
 	$(GO) test -race -count=2 -run 'Shard|WithShards|MirrorShards|SystemWithMetrics|EngineObserverCounts|MetricsEndpoint' \
 		mdrep mdrep/internal/core mdrep/internal/massim mdrep/cmd/mdrep-peer
+	$(GO) test -race -count=2 -cpu 1,4 \
+		-run 'Incremental|CachedTM|NoOpRebuilds|HeldTM|PatchGOMAXPROCS|RestoredEngine|StoreExpired|WeightedSum' \
+		mdrep/internal/core mdrep/internal/eval mdrep/internal/sparse
 	$(GO) test -race -count=2 mdrep/internal/journal
 
 # walk runs the Monte-Carlo reputation estimator suite under the race

@@ -191,6 +191,30 @@ func loadEngine(b *testing.B, peers int, tr *trace.Trace) *core.Engine {
 	if err != nil {
 		b.Fatal(err)
 	}
+	replayTrace(b, engine, tr)
+	return engine
+}
+
+// loadSharded is loadEngine for a one-shard core.Sharded, the engine
+// every caller runs.
+func loadSharded(b *testing.B, peers int, tr *trace.Trace) *core.Sharded {
+	b.Helper()
+	engine, err := core.NewSharded(peers, 1, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	replayTrace(b, engine, tr)
+	return engine
+}
+
+// evidenceSink is the ingest surface replayTrace feeds.
+type evidenceSink interface {
+	RecordDownload(downloader, uploader int, f eval.FileID, size int64, now time.Duration) error
+	SetImplicit(p int, f eval.FileID, value float64, now time.Duration) error
+}
+
+func replayTrace(b *testing.B, engine evidenceSink, tr *trace.Trace) {
+	b.Helper()
 	for _, rec := range tr.Records {
 		f := eval.FileID(trace.FileHash(rec.File))
 		if err := engine.RecordDownload(rec.Downloader, rec.Uploader, f, rec.Size, rec.Time); err != nil {
@@ -203,28 +227,23 @@ func loadEngine(b *testing.B, peers int, tr *trace.Trace) *core.Engine {
 			b.Fatal(err)
 		}
 	}
-	return engine
 }
 
 // BenchmarkTrustMatrixBuild measures building TM (FM + DM + UM) from a
 // loaded engine — the per-epoch cost of the system — in three regimes:
-//   - cold: a fresh engine's first build, every row computed (the engine
-//     is loaded with the timer stopped);
-//   - incremental: one changed vote, then the rebuild of the rows it
-//     dirtied;
-//   - cached: nothing changed since the last build, so BuildTM returns
-//     the cached matrix.
+//   - cold: Engine.BuildTM, every row computed from scratch;
+//   - incremental: a one-shard Sharded after one changed vote, which
+//     recomputes the rows the vote dirtied and patches TM in them;
+//   - cached: nothing changed since the Sharded's last build, so TM
+//     returns the cached matrix.
 func BenchmarkTrustMatrixBuild(b *testing.B) {
 	const peers, downloads = 300, 20000
 	now := 30 * 24 * time.Hour
 	b.Run("cold", func(b *testing.B) {
-		tr := loadedTrace(b, peers, downloads)
+		engine := buildLoadedEngine(b, peers, downloads)
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			engine := loadEngine(b, peers, tr)
-			b.StartTimer()
 			if _, err := engine.BuildTM(now); err != nil {
 				b.Fatal(err)
 			}
@@ -232,8 +251,8 @@ func BenchmarkTrustMatrixBuild(b *testing.B) {
 	})
 	b.Run("incremental", func(b *testing.B) {
 		tr := loadedTrace(b, peers, downloads)
-		engine := loadEngine(b, peers, tr)
-		if _, err := engine.BuildTM(now); err != nil {
+		engine := loadSharded(b, peers, tr)
+		if _, err := engine.TM(now); err != nil {
 			b.Fatal(err)
 		}
 		// Every op flips the same vote, so each dirties the same rows and
@@ -247,17 +266,20 @@ func BenchmarkTrustMatrixBuild(b *testing.B) {
 			if err := engine.Vote(mid.Downloader, f, float64(i%2), now); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := engine.BuildTM(now); err != nil {
+			if _, err := engine.TM(now); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		engine := buildLoadedEngine(b, peers, downloads)
+		engine := loadSharded(b, peers, loadedTrace(b, peers, downloads))
+		if _, err := engine.TM(now); err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.BuildTM(now); err != nil {
+			if _, err := engine.TM(now); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -365,16 +387,22 @@ func BenchmarkRMPowParallel(b *testing.B) {
 }
 
 // BenchmarkBuildTMIncremental compares the per-event cost of refreshing
-// TM: the incremental path re-derives only the rows dirtied by one new
-// evaluation, the full path recomputes every row from the same evidence.
+// TM: the incremental path is a one-shard Sharded re-deriving only the
+// rows dirtied by one new evaluation, the full path Engine.BuildTM
+// recomputing every row from the same evidence.
 func BenchmarkBuildTMIncremental(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		engine, err := core.NewEngine(n, core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
+		sharded, err := core.NewSharded(n, 1, core.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 		var now time.Duration
-		for _, ev := range journalWorkload(n, n*20) {
+		events := journalWorkload(n, n*20)
+		for _, ev := range events {
 			if err := engine.ApplyEvent(ev); err != nil {
 				b.Fatal(err)
 			}
@@ -382,13 +410,15 @@ func BenchmarkBuildTMIncremental(b *testing.B) {
 				now = ev.Time
 			}
 		}
-		if _, err := engine.BuildTM(now); err != nil {
+		if err := sharded.ApplyBatch(events); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sharded.TM(now); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("full/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				engine.InvalidateCaches()
 				if _, err := engine.BuildTM(now); err != nil {
 					b.Fatal(err)
 				}
@@ -404,10 +434,10 @@ func BenchmarkBuildTMIncremental(b *testing.B) {
 					Value: 0.5,
 					Time:  now,
 				}
-				if err := engine.ApplyEvent(ev); err != nil {
+				if err := sharded.ApplyEvent(ev); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := engine.BuildTM(now); err != nil {
+				if _, err := sharded.TM(now); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -878,13 +908,20 @@ func BenchmarkShardedRebuild(b *testing.B) {
 				}
 			}
 			now := time.Duration(4*n) * time.Second
+			// A fixed evaluator set on "hot"; every op flips one of its
+			// votes, so each op dirties the same rows whatever b.N is.
+			for p := 0; p < n; p += n / 64 {
+				if err := eng.Vote(p, "hot", 0.5, now); err != nil {
+					b.Fatal(err)
+				}
+			}
 			if _, err := eng.TM(now); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := eng.Vote(i%n, "hot", 0.5, now); err != nil {
+				if err := eng.Vote(0, "hot", float64(i%2), now); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := eng.TM(now); err != nil {

@@ -13,8 +13,9 @@
 // while the caller still holds the lock.
 //
 // Facade bypass (packages outside core): core.Engine is not safe for
-// concurrent use — even read-looking calls patch its caches — so
-// everything outside the core must route through core.Sharded. The
+// concurrent use — it is the unlocked evidence store inside
+// core.Sharded — so everything outside the core must route through
+// core.Sharded. The
 // analyzer flags direct *core.Engine method calls unless the engine
 // arrived as a function parameter or through the receiver (the caller
 // owns the locking contract).

@@ -18,6 +18,22 @@ func mustEngine(t *testing.T, n int, cfg Config) *Engine {
 	return e
 }
 
+// dimCSR builds every row of dimension d at now through the row
+// function and freezes the rows into a CSR.
+func dimCSR(t *testing.T, e *Engine, d int, now time.Duration) *sparse.CSR {
+	t.Helper()
+	rows := make([]sparse.Row, e.n)
+	rowFn := e.rowFunc(d, now)
+	for i := range rows {
+		rows[i] = rowFn(i)
+	}
+	c, err := sparse.WeightedSum(nil, e.n, allRows(e.n), []sparse.Weighted{{Scale: 1, Rows: rows}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -98,7 +114,7 @@ func TestBuildFMEquation2(t *testing.T) {
 	mustVote(1, "a", 0.8)
 	mustVote(0, "b", 0.2)
 	mustVote(1, "b", 0.6)
-	fm := e.BuildFM(0)
+	fm := dimCSR(t, e, dimFM, 0)
 	// FT_01 = 1 - (|1-0.8| + |0.2-0.6|)/2 = 1 - 0.3 = 0.7, and it is the
 	// only entry in rows 0 and 1, so FM_01 = FM_10 = 1 after
 	// normalisation.
@@ -123,7 +139,7 @@ func TestBuildFMRelativeSimilarity(t *testing.T) {
 	mustVote(0, "x", 1.0)
 	mustVote(1, "x", 1.0)
 	mustVote(2, "x", 0.0)
-	fm := e.BuildFM(0)
+	fm := dimCSR(t, e, dimFM, 0)
 	// FT_01 = 1, FT_02 = 0 (dropped), FT_12 = 0 (dropped).
 	if got := fm.Get(0, 1); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("FM_01 = %v, want 1", got)
@@ -141,7 +157,7 @@ func TestBuildFMDisjointEvaluationsNoEdge(t *testing.T) {
 	if err := e.Vote(1, "b", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	fm := e.BuildFM(0)
+	fm := dimCSR(t, e, dimFM, 0)
 	if fm.NNZ() != 0 {
 		t.Fatal("disjoint evaluation sets produced an FM edge")
 	}
@@ -157,10 +173,10 @@ func TestBuildFMWindowExpiry(t *testing.T) {
 	if err := e.Vote(1, "a", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if fm := e.BuildFM(30 * time.Minute); fm.Get(0, 1) == 0 {
+	if fm := dimCSR(t, e, dimFM, 30*time.Minute); fm.Get(0, 1) == 0 {
 		t.Fatal("live co-evaluation produced no edge")
 	}
-	if fm := e.BuildFM(3 * time.Hour); fm.NNZ() != 0 {
+	if fm := dimCSR(t, e, dimFM, 3*time.Hour); fm.NNZ() != 0 {
 		t.Fatal("expired evaluations still produce FM edges")
 	}
 }
@@ -183,7 +199,7 @@ func TestBuildDMEquation4(t *testing.T) {
 	if err := e.Vote(0, "small", 0.5, 0); err != nil {
 		t.Fatal(err)
 	}
-	dm := e.BuildDM(0)
+	dm := dimCSR(t, e, dimDM, 0)
 	// VD_01 = 1.0*1000 = 1000, VD_02 = 0.5*500 = 250 → normalised 0.8 / 0.2.
 	if got := dm.Get(0, 1); math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("DM_01 = %v, want 0.8", got)
@@ -200,7 +216,7 @@ func TestBuildDMUnevaluatedUsesFloor(t *testing.T) {
 	if err := e.RecordDownload(0, 1, "f", 100, 0); err != nil {
 		t.Fatal(err)
 	}
-	dm := e.BuildDM(0)
+	dm := dimCSR(t, e, dimDM, 0)
 	if got := dm.Get(0, 1); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("DM_01 = %v, want 1 (sole floor-weighted entry)", got)
 	}
@@ -223,7 +239,7 @@ func TestBuildDMFakeFileEarnsNothing(t *testing.T) {
 	if err := e.Vote(0, "fake", 0.0, 0); err != nil { // judged fake
 		t.Fatal(err)
 	}
-	dm := e.BuildDM(0)
+	dm := dimCSR(t, e, dimDM, 0)
 	if got := dm.Get(0, 2); got != 0 {
 		t.Fatalf("fake upload earned DM %v, want 0", got)
 	}
@@ -248,7 +264,7 @@ func TestBuildUMAndBlacklist(t *testing.T) {
 	if err := e.RateUser(0, 2, 1.0); err != nil { // ignored: blacklisted
 		t.Fatal(err)
 	}
-	um := e.BuildUM()
+	um := dimCSR(t, e, dimUM, 0)
 	if got := um.Get(0, 1); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("UM_01 = %v, want 1 after blacklist removed peer 2", got)
 	}
@@ -268,7 +284,7 @@ func TestAddFriendUsesConfiguredTrust(t *testing.T) {
 	if err := e.RateUser(0, 2, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	um := e.BuildUM()
+	um := dimCSR(t, e, dimUM, 0)
 	if got := um.Get(0, 1); math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("UM_01 = %v, want 0.8", got)
 	}
@@ -412,7 +428,7 @@ func TestCompactPrunesIndex(t *testing.T) {
 	if n := e.evaluators.fileCount(); n != 0 {
 		t.Fatalf("evaluator index not pruned: %d files", n)
 	}
-	if fm := e.BuildFM(3 * time.Hour); fm.NNZ() != 0 {
+	if fm := dimCSR(t, e, dimFM, 3*time.Hour); fm.NNZ() != 0 {
 		t.Fatal("FM edges from compacted evaluations")
 	}
 }
@@ -445,7 +461,7 @@ func TestMaxEvaluatorsPerFileCapsPairing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fm := e.BuildFM(0)
+	fm := dimCSR(t, e, dimFM, 0)
 	// 5 sampled evaluators → each has edges to the other 4 at most.
 	maxRowLen := 0
 	rows := 0
@@ -475,7 +491,7 @@ func TestMaxEvaluatorsDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return e.BuildFM(0).Entries()
+		return dimCSR(t, e, dimFM, 0).Entries()
 	}
 	a, b := build(), build()
 	if len(a) != len(b) {

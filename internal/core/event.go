@@ -147,23 +147,19 @@ func (b *BatchError) Unwrap() error { return b.Err }
 // ApplyEvent applies one event to the engine. It is deterministic: the
 // same events applied in the same order to the same initial state produce
 // the same engine state, which is what journal replay depends on.
-//
-// Each event also invalidates exactly the cached dimension rows it can
-// affect (see Engine): an evaluation dirties the FM rows of the file's
-// co-evaluators and the evaluator's DM row, a download one DM row, a
-// rating or blacklisting one UM row.
 func (e *Engine) ApplyEvent(ev Event) error {
-	return e.applyTo(ev, e.markDim)
+	return e.applyTo(ev, func(int, int) {})
 }
 
-// applyTo applies one event, reporting cache invalidations through mark
-// instead of the engine's own dimension caches. It is the shared
-// mutation path of the bare Engine and of Sharded: the Engine passes markDim;
-// core.Sharded passes a marker that routes each row to its owning
-// shard's dirty tracker. Evidence mutations only ever touch the acting
-// peer's own rows (stores[I], downloads[I], userTrust[I], blacklist[I])
-// plus the stripe-locked evaluator index, which is what lets shards
-// apply disjoint owners' events concurrently.
+// applyTo applies one event and reports the dimension rows it
+// invalidates through mark: an evaluation dirties the FM rows of the
+// file's co-evaluators and the evaluator's DM row, a download one DM
+// row, a rating or blacklisting one UM row. It is the shared mutation
+// path of the bare Engine and of Sharded, whose marker routes each row
+// to its owning shard's dirty tracker. Evidence mutations only ever
+// touch the acting peer's own rows (stores[I], downloads[I],
+// userTrust[I], blacklist[I]) plus the stripe-locked evaluator index,
+// which is what lets shards apply disjoint owners' events concurrently.
 func (e *Engine) applyTo(ev Event, mark markFunc) error {
 	if err := ValidateEvent(e.n, ev); err != nil {
 		return err

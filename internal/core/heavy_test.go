@@ -4,16 +4,18 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/metrics"
 )
 
 // TestShardedMillionPeerBuild is the memory acceptance experiment for
 // the sharded engine: build a 1M-peer, 8-shard engine, ingest a sparse
-// evidence load through group-commit batches, rebuild TM once, and
-// report heap. Gated behind MDREP_HEAVY=1 — it allocates hundreds of MB
+// evidence load through group-commit batches, build TM once, apply one
+// 64-vote batch and time the incremental rebuild, and report heap. Gated behind MDREP_HEAVY=1 — it allocates hundreds of MB
 // and runs for minutes, so it stays out of tier-1; EXPERIMENTS.md
 // records the measured numbers.
 func TestShardedMillionPeerBuild(t *testing.T) {
@@ -57,17 +59,51 @@ func TestShardedMillionPeerBuild(t *testing.T) {
 	ingest := time.Since(start)
 
 	start = time.Now()
-	tm, err := s.TM(time.Duration(rows) * time.Millisecond)
+	now := time.Duration(rows) * time.Millisecond
+	full, err := s.TM(now)
 	if err != nil {
 		t.Fatal(err)
 	}
 	build := time.Since(start)
 
+	// One 64-vote batch on 64 files: the rebuild recomputes the FM rows
+	// of those files' co-evaluators and the voters' DM rows, and patches
+	// TM in them.
+	reg := metrics.NewRegistry()
+	s.SetObserver(NewEngineObs(reg, nil))
+	batch = batch[:0]
+	for i := 0; i < 64; i++ {
+		f := eval.FileID(fmt.Sprintf("f-%d", i%4096))
+		batch = append(batch, Event{Kind: EventVote, I: (i * 5) % n, File: f, Value: 0.1, Time: now})
+	}
+	flush()
+	start = time.Now()
+	tm, err := s.TM(now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := time.Since(start)
+	recomputed := map[string]uint64{}
+	for _, dim := range []string{"fm", "dm", "um"} {
+		recomputed[dim] = reg.Counter("engine_dirty_rows_total", "dim", dim).Load()
+	}
+	changed := 0
+	for i := 0; i < n; i++ {
+		fc, fv := full.Row(i)
+		tc, tv := tm.Row(i)
+		if !slices.Equal(fc, tc) || !slices.Equal(fv, tv) {
+			changed++
+		}
+	}
+	full = nil
+
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	t.Logf("n=%d k=%d: %d events ingested in %v (%.0f ev/s), TM build %v, TM nnz %d, heap %.1f MB",
+	t.Logf("n=%d k=%d: %d events ingested in %v (%.0f ev/s), TM build %v, TM nnz %d; "+
+		"64-vote rebuild %v (recomputed rows fm %d dm %d um %d, %d TM rows changed); heap %.1f MB",
 		n, k, events, ingest, float64(events)/ingest.Seconds(), build, tm.NNZ(),
+		patch, recomputed["fm"], recomputed["dm"], recomputed["um"], changed,
 		float64(ms.HeapAlloc)/(1<<20))
 	if tm.NNZ() == 0 {
 		t.Fatal("million-peer TM is empty")

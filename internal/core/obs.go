@@ -6,10 +6,10 @@ import (
 )
 
 // EngineObs is the trust core's metrics surface: per-dimension build
-// latency and dirty-row volume, TM re-freeze (epoch bump) latency, and
-// RM build and reputation power-walk timing. Engine and Sharded emit the
-// same series through the nil-safe helpers below, so a core with a nil
-// observer pays one nil check per build step. The observer carries no
+// latency and dirty-row volume, TM patch (epoch bump) latency, and RM
+// build and reputation power-walk timing. Sharded emits the series
+// through the nil-safe helpers below, so a core with a nil observer pays
+// one nil check per build step. The observer carries no
 // engine state, so attaching or detaching it cannot perturb replay
 // determinism — the clock is only ever read around builds, never fed
 // into them.
@@ -21,7 +21,7 @@ type EngineObs struct {
 	buildRM *metrics.Histogram    // engine_build_seconds{dim=rm}
 	repWalk *metrics.Histogram    // Reputations row-walk latency
 
-	refreeze  *metrics.Histogram // TM integration (WeightedSum) latency
+	refreeze  *metrics.Histogram // TM patch (WeightedSum) latency
 	refreezes *metrics.Counter   // epoch bumps
 }
 
@@ -62,7 +62,7 @@ func (o *EngineObs) startBuild(d int, rows uint64) obs.Span {
 	return o.tracer.Start(o.build[d])
 }
 
-// startRefreeze opens a TM integration span; nil-safe.
+// startRefreeze opens a TM patch span; nil-safe.
 func (o *EngineObs) startRefreeze() obs.Span {
 	if o == nil {
 		return obs.Span{}
@@ -93,18 +93,4 @@ func (o *EngineObs) spanRepWalk() obs.Span {
 		return obs.Span{}
 	}
 	return o.tracer.Start(o.repWalk)
-}
-
-// SetObserver attaches (or, with nil, detaches) the metrics observer.
-// Not safe for concurrent use with builds: attach before the engine is
-// used. Sharded.SetObserver attaches the same surface to the sharded
-// facade.
-func (e *Engine) SetObserver(o *EngineObs) { e.obs = o }
-
-// dirtyCount is the number of rows the next refresh of d will recompute.
-func (e *Engine) dirtyCount(d *dimCache) uint64 {
-	if d.all || d.rows == nil {
-		return uint64(e.n)
-	}
-	return uint64(len(d.dirty))
 }

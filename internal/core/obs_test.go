@@ -6,53 +6,24 @@ import (
 	"testing"
 	"time"
 
-	"mdrep/internal/eval"
 	"mdrep/internal/metrics"
-	"mdrep/internal/sparse"
 )
 
-// observedCore is the surface TestEngineObserverCounts drives: the bare
-// Engine (through bareCore) and Sharded both emit the EngineObs series.
-type observedCore interface {
-	SetObserver(o *EngineObs)
-	Vote(p int, f eval.FileID, value float64, now time.Duration) error
-	RecordDownload(downloader, uploader int, f eval.FileID, size int64, now time.Duration) error
-	RateUser(i, j int, value float64) error
-	TM(now time.Duration) (*sparse.CSR, error)
-	Reputations(i int, now time.Duration) (map[int]float64, error)
-	BuildRM(now time.Duration) (*sparse.CSR, error)
-	Epoch() uint64
-}
-
-// bareCore adapts the Engine's build-named TM accessor.
-type bareCore struct{ *Engine }
-
-func (b bareCore) TM(now time.Duration) (*sparse.CSR, error) { return b.BuildTM(now) }
-
-// TestEngineObserverCounts pins the engine metric series for the bare
-// Engine and for Sharded at K = 1 and K = 4. At K = 1 every count equals
-// the bare engine's; at K = 4 the dirty-row and refreeze totals do,
-// while each shard worker records its own build sample.
+// TestEngineObserverCounts pins the engine metric series for Sharded at
+// K = 1 and K = 4: the dirty-row and patch totals are the same for any
+// K, while each shard worker records its own build sample.
 func TestEngineObserverCounts(t *testing.T) {
-	for _, k := range []int{0, 1, 4} { // 0 is the bare Engine
-		name := "engine"
-		if k > 0 {
-			name = fmt.Sprintf("sharded/k=%d", k)
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		t.Run(fmt.Sprintf("sharded/k=%d", k), func(t *testing.T) {
 			reg := metrics.NewRegistry()
 			// Parallel shard workers read the clock concurrently.
 			var ticks atomic.Int64
 			o := NewEngineObs(reg, func() time.Time {
 				return time.Unix(0, ticks.Add(1)*int64(time.Microsecond))
 			})
-			var c observedCore = bareCore{mustEngine(t, 4, DefaultConfig())}
-			if k > 0 {
-				s, err := NewSharded(4, k, DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				c = s
+			c, err := NewSharded(4, k, DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
 			}
 			c.SetObserver(o)
 
@@ -73,8 +44,8 @@ func TestEngineObserverCounts(t *testing.T) {
 			}
 
 			// First build recomputes all n rows of each dimension, one
-			// build sample per worker (the bare engine is one worker).
-			wantSpans := uint64(max(k, 1))
+			// build sample per worker.
+			wantSpans := uint64(k)
 			for _, dim := range []string{"fm", "dm", "um"} {
 				if got := reg.Counter("engine_dirty_rows_total", "dim", dim).Load(); got != 4 {
 					t.Errorf("dirty rows %s = %d, want 4", dim, got)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,11 +18,17 @@ import (
 // it. It partitions the peer population across K shards by consistent
 // hash on the peer index, each shard owning its peers' evidence
 // (stores, download ledgers, user ratings, blacklists), its row-range
-// of the FM/DM/UM matrices, and its own dirty-row trackers. K = 1 is
+// of the FM/DM/UM row store, and its own dirty-row trackers. K = 1 is
 // the default; a larger K lets writers for different shards proceed in
-// parallel, while rebuilds freeze each shard's rows independently
-// (sparse.FreezeNormalizedRows) and merge the pieces into the same
-// global CSRs the bare Engine produces.
+// parallel, and rebuilds recompute each shard's dirty rows in parallel.
+//
+// The row store keeps each trust dimension as frozen, normalised rows,
+// one per peer, written only by the row's owner shard. A rebuild
+// recomputes the rows its dirty trackers name and patches TM in the
+// rows dirty in some dimension, copying every other row from the
+// previous TM (Eq. 7 is row-local). The per-row float sequence is the
+// bare Engine's from-scratch build, so TM is byte-identical to
+// Engine.BuildTM for any K and any GOMAXPROCS.
 //
 // Shardability rests on an ownership invariant of the event model:
 // every evidence mutation of ApplyEvent touches only the acting peer's
@@ -64,15 +71,15 @@ type Sharded struct {
 	tmCache atomic.Pointer[shardedTM]
 
 	// Build state below is guarded by rebuildMu (writers) and published
-	// to readers only through tmCache.
+	// to readers only through tmCache. dims is the row store: row i of
+	// each dimension is written only by its owner shard's rebuild worker.
 	rebuildMu  sync.Mutex
-	dims       [3]shardedDim
+	dims       [3][]sparse.Row
 	tm         *sparse.CSR
-	tmSrc      [3]*sparse.CSR
 	lastNow    time.Duration
 	lastNowSet bool
 
-	obs  *EngineObs // the bare Engine's series: builds, refreezes, RM, walks
+	obs  *EngineObs // builds, TM patches, RM, walks
 	sobs *ShardedObs
 }
 
@@ -85,15 +92,6 @@ type shard struct {
 	dirtyMu sync.Mutex
 	dirty   [3]map[int]struct{}
 	all     [3]bool
-}
-
-// shardedDim is the build state of one trust dimension: the raw rows
-// (global-length, row i written only by its owner shard's rebuild
-// worker), the per-shard frozen pieces, and the merged global CSR.
-type shardedDim struct {
-	rows   []map[int]float64
-	sets   []*sparse.RowSet
-	frozen *sparse.CSR
 }
 
 // shardedTM is the lock-free TM cache entry.
@@ -152,9 +150,8 @@ func NewSharded(n, k int, cfg Config) (*Sharded, error) {
 			sh.all[d] = true
 		}
 	}
-	for d := 0; d < 3; d++ {
-		s.dims[d].rows = make([]map[int]float64, n)
-		s.dims[d].sets = make([]*sparse.RowSet, k)
+	for d := range s.dims {
+		s.dims[d] = make([]sparse.Row, n)
 	}
 	return s, nil
 }
@@ -168,7 +165,8 @@ func (s *Sharded) K() int { return s.k }
 // Config returns the engine configuration.
 func (s *Sharded) Config() Config { return s.eng.Config() }
 
-// Epoch returns the TM rebuild counter, as Engine.Epoch.
+// Epoch counts the rebuilds that recomputed some dimension row; callers
+// use it to notice when cached per-peer reputation rows are stale.
 func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
 
 // ShardOf returns peer p's owner shard.
@@ -176,10 +174,9 @@ func (s *Sharded) ShardOf(p int) int { return int(s.shardOf[p]) }
 
 // SetObserver attaches the engine metrics observer: per-dimension build
 // spans and dirty rows (one build sample per shard worker that
-// recomputes a dimension), TM refreezes, RM builds and reputation
-// walks — at K = 1 the same counts the bare Engine records. Per-shard
-// ingest and rebuild metrics attach via SetShardObserver. Attach both
-// before the engine is shared.
+// recomputes a dimension), TM patches, RM builds and reputation walks.
+// Per-shard ingest and rebuild metrics attach via SetShardObserver.
+// Attach both before the engine is shared.
 func (s *Sharded) SetObserver(o *EngineObs) { s.obs = o }
 
 // SetShardObserver attaches the per-shard metrics observer.
@@ -395,8 +392,7 @@ func (s *Sharded) Compact(now time.Duration) {
 
 // cachedTM returns the frozen TM if it is current: built at the present
 // mutation version, and at the same virtual time unless nothing can
-// expire (Window == 0 makes the matrices time-independent, as in
-// Engine.CachedTM).
+// expire (Window == 0 makes the matrices time-independent).
 func (s *Sharded) cachedTM(now time.Duration) (*sparse.CSR, bool) {
 	c := s.tmCache.Load()
 	if c == nil || c.version != s.version.Load() {
@@ -419,13 +415,13 @@ func (s *Sharded) TM(now time.Duration) (*sparse.CSR, error) {
 
 // rebuild is the stop-the-world build: under rebuildMu and every shard
 // data lock (ascending), it reconciles virtual time, drains each
-// shard's dirty trackers, recomputes the dirty rows of each dimension
-// per shard in parallel (reusing the exact row functions of the bare
-// Engine), refreezes changed shards' row sets, merges them into global
-// CSRs and integrates TM. Rows accumulate in the same ascending order
-// as the Engine's build and the freeze/merge math is bit-identical to
-// FreezeNormalized (see sparse.RowSet), so the result is byte-identical
-// for any K and any GOMAXPROCS.
+// shard's dirty trackers, recomputes those rows of each dimension per
+// shard in parallel into the row store, and patches TM in the rows some
+// dimension recomputed. The first build, a build at an earlier time and
+// a build after RestoreShard mark every row dirty, which makes them full
+// builds through the same code. Each row's float sequence is that of
+// Engine.BuildTM, so the result is byte-identical for any K and any
+// GOMAXPROCS.
 func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
@@ -440,9 +436,9 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	defer sp.End()
 	ver := s.version.Load() // quiescent: mutators bump under a data lock we hold
 
-	// Time reconciliation, as Engine.advanceTime: backwards invalidates
-	// everything, forwards dirties the rows of evidence that expired in
-	// (lastNow, now].
+	// Time reconciliation: backwards invalidates everything (liveness is
+	// evaluated at build time, so history is not monotone), forwards
+	// dirties the rows of evidence that expired in (lastNow, now].
 	switch {
 	case !s.lastNowSet:
 		s.lastNow, s.lastNowSet = now, true
@@ -473,8 +469,10 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		s.lastNow = now
 	}
 
-	// Drain + recompute + refreeze, one worker per shard.
-	var changed [3]atomic.Bool
+	// Drain + recompute, one worker per shard. tmDirty[si] collects the
+	// shard's rows recomputed in some dimension, ascending.
+	var changed atomic.Bool
+	tmDirty := make([][]int, s.k)
 	s.parallelShards(func(si int) {
 		shSp := s.sobs.spanShardRebuild(si)
 		defer shSp.End()
@@ -492,79 +490,65 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		}
 		sh.dirtyMu.Unlock()
 		owned := s.owned[si]
+		full := false
+		var union []int
 		for d := 0; d < 3; d++ {
-			dim := &s.dims[d]
-			if !all[d] && len(dirty[d]) == 0 && dim.sets[si] != nil {
+			if !all[d] && len(dirty[d]) == 0 {
 				continue
 			}
-			full := all[d] || dim.sets[si] == nil
-			rows := len(dirty[d])
-			if full {
-				rows = len(owned)
-			}
-			bsp := s.obs.startBuild(d, uint64(rows))
-			rowFn := s.rowFn(d, now)
-			if full {
+			changed.Store(true)
+			rowFn := s.eng.rowFunc(d, now)
+			if all[d] {
+				full = true
+				bsp := s.obs.startBuild(d, uint64(len(owned)))
 				for _, i := range owned {
-					dim.rows[i] = rowFn(i)
+					s.dims[d][i] = rowFn(i)
 				}
-			} else {
-				for i := range dirty[d] {
-					dim.rows[i] = rowFn(i)
-				}
+				bsp.End()
+				continue
 			}
-			dim.sets[si] = sparse.FreezeNormalizedRows(s.eng.n, owned, dim.rows)
+			bsp := s.obs.startBuild(d, uint64(len(dirty[d])))
+			for i := range dirty[d] {
+				s.dims[d][i] = rowFn(i)
+				union = append(union, i)
+			}
 			bsp.End()
-			changed[d].Store(true)
 		}
+		if full {
+			tmDirty[si] = owned
+			return
+		}
+		slices.Sort(union)
+		tmDirty[si] = slices.Compact(union)
 	})
+	if !changed.Load() {
+		s.tmCache.Store(&shardedTM{tm: s.tm, now: now, version: ver})
+		return s.tm, nil
+	}
 
-	// Merge changed dimensions and integrate TM (Eq. 7).
-	for d := 0; d < 3; d++ {
-		if !changed[d].Load() && s.dims[d].frozen != nil {
-			continue
-		}
-		csr, err := sparse.MergeRowSets(s.eng.n, s.dims[d].sets)
-		if err != nil {
-			return nil, err
-		}
-		s.dims[d].frozen = csr
+	// Patch TM (Eq. 7) in the union of the shards' dirty rows. Shards own
+	// disjoint rows, so a union of n rows is every row.
+	var dirty []int
+	for _, rows := range tmDirty {
+		dirty = append(dirty, rows...)
 	}
-	src := [3]*sparse.CSR{s.dims[dimFM].frozen, s.dims[dimDM].frozen, s.dims[dimUM].frozen}
-	if s.tm == nil || src != s.tmSrc {
-		rsp := s.obs.startRefreeze()
-		cfg := s.eng.cfg
-		tm, err := sparse.WeightedSum(s.eng.n, []sparse.Weighted{
-			{Scale: cfg.Alpha, M: src[dimFM]},
-			{Scale: cfg.Beta, M: src[dimDM]},
-			{Scale: cfg.Gamma, M: src[dimUM]},
-		})
-		if err != nil {
-			return nil, err
+	if len(dirty) == s.eng.n {
+		for i := range dirty {
+			dirty[i] = i
 		}
-		s.tm = tm
-		s.tmSrc = src
-		s.epoch.Add(1)
-		s.obs.refrozen(rsp)
+	} else {
+		slices.Sort(dirty)
 	}
+	rsp := s.obs.startRefreeze()
+	tm, err := s.eng.integrate(s.tm, dirty, s.dims)
+	if err != nil {
+		return nil, err
+	}
+	s.tm = tm
+	s.epoch.Add(1)
+	s.obs.refrozen(rsp)
 	s.tmCache.Store(&shardedTM{tm: s.tm, now: now, version: ver})
 	return s.tm, nil
-}
-
-// rowFn returns the raw row recompute function of dimension d. The
-// functions read foreign peers' stores (FM pairs over co-evaluators),
-// which is safe during rebuild: every data lock is held, store reads
-// are pure, and each row is written only by its owner's worker.
-func (s *Sharded) rowFn(d int, now time.Duration) func(i int) map[int]float64 {
-	switch d {
-	case dimFM:
-		memo := make(map[eval.FileID]*fileEvaluators)
-		return func(i int) map[int]float64 { return s.eng.fmRow(i, now, memo) }
-	case dimDM:
-		return func(i int) map[int]float64 { return s.eng.dmRow(i, now) }
-	default:
-		return func(i int) map[int]float64 { return s.eng.umRow(i) }
-	}
 }
 
 // --- reads -------------------------------------------------------------------

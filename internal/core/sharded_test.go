@@ -184,9 +184,10 @@ func TestShardCountInvariance(t *testing.T) {
 }
 
 // TestShardedIncrementalMatchesRebuild interleaves events, time
-// advancement, expiry and compaction with TM builds, checking each
-// incremental sharded build against a from-scratch sharded engine fed
-// the same prefix — the sharded analogue of incremental_test.go.
+// advancement, expiry and compaction with TM builds at K = 4, checking
+// each incremental build and its row store against the map reference
+// builders fed the same prefix — the four-shard companion of
+// incremental_test.go.
 func TestShardedIncrementalMatchesRebuild(t *testing.T) {
 	const n = 24
 	cfg := DefaultConfig()
@@ -204,24 +205,7 @@ func TestShardedIncrementalMatchesRebuild(t *testing.T) {
 			continue
 		}
 		now := ev.Time + time.Duration(idx%3)*time.Hour
-		got, err := s.TM(now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := NewSharded(n, 4, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.ApplyBatch(evs[:idx+1]); err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.TM(now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if csrBytes(t, got) != csrBytes(t, want) {
-			t.Fatalf("incremental TM diverged from fresh build at event %d", idx)
-		}
+		checkAllDims(t, s, now, fmt.Sprintf("event %d", idx))
 	}
 }
 

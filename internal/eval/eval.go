@@ -119,6 +119,11 @@ type Store struct {
 	blend   Blend
 	window  time.Duration // 0 disables expiry
 	records map[FileID]Record
+	// oldest is a lower bound on every record's UpdatedAt: while
+	// now − oldest ≤ window nothing can have expired, so the expiry
+	// queries return without a scan. Writes lower it, Import and
+	// Compact recompute it, and Forget leaves it (still a bound).
+	oldest time.Duration
 }
 
 // NewStore builds an empty store. window is the evaluation retention
@@ -139,6 +144,7 @@ func (s *Store) Blend() Blend { return s.blend }
 // SetImplicit records an implicit evaluation for file f at time now,
 // preserving any existing vote.
 func (s *Store) SetImplicit(f FileID, v float64, now time.Duration) {
+	s.noteWrite(now)
 	r := s.records[f]
 	r.Implicit = clamp01(v)
 	r.UpdatedAt = now
@@ -148,11 +154,36 @@ func (s *Store) SetImplicit(f FileID, v float64, now time.Duration) {
 // Vote records an explicit evaluation for file f at time now, preserving
 // the implicit component.
 func (s *Store) Vote(f FileID, v float64, now time.Duration) {
+	s.noteWrite(now)
 	r := s.records[f]
 	r.Explicit = clamp01(v)
 	r.Voted = true
 	r.UpdatedAt = now
 	s.records[f] = r
+}
+
+// noteWrite lowers the UpdatedAt bound for a write at now. Called before
+// the write: an empty store has no bound to keep.
+func (s *Store) noteWrite(now time.Duration) {
+	if len(s.records) == 0 || now < s.oldest {
+		s.oldest = now
+	}
+}
+
+// resetOldest recomputes the UpdatedAt bound from the records.
+func (s *Store) resetOldest() {
+	first := true
+	for _, r := range s.records {
+		if first || r.UpdatedAt < s.oldest {
+			s.oldest, first = r.UpdatedAt, false
+		}
+	}
+}
+
+// noneExpired reports, without a scan, that no record has expired by
+// now.
+func (s *Store) noneExpired(now time.Duration) bool {
+	return s.window <= 0 || len(s.records) == 0 || now-s.oldest <= s.window
 }
 
 // Forget removes the evaluation of file f (e.g. the file churned away and
@@ -187,12 +218,13 @@ func (s *Store) expired(r Record, now time.Duration) bool {
 func (s *Store) Len() int { return len(s.records) }
 
 // ExpiredBetween returns the files whose evaluations were live at prev
-// but have expired by now (prev < now). The engine's incremental matrix
-// cache uses this to find rows invalidated purely by the passage of
-// virtual time — an expiry changes FM and DM rows without any event
-// being applied.
+// but have expired by now (prev < now). core.Sharded's rebuild calls it
+// on every store after each clock advance to find the rows invalidated
+// purely by the passage of virtual time — an expiry changes FM and DM
+// rows without any event being applied. It returns without a scan while
+// the oldest record is still inside the window.
 func (s *Store) ExpiredBetween(prev, now time.Duration) []FileID {
-	if s.window <= 0 || now <= prev {
+	if now <= prev || s.noneExpired(now) {
 		return nil
 	}
 	var out []FileID
@@ -207,7 +239,7 @@ func (s *Store) ExpiredBetween(prev, now time.Duration) []FileID {
 // ExpiredFiles returns the files whose evaluations have expired as of
 // now — exactly the records Compact(now) would drop.
 func (s *Store) ExpiredFiles(now time.Duration) []FileID {
-	if s.window <= 0 {
+	if s.noneExpired(now) {
 		return nil
 	}
 	var out []FileID
@@ -228,6 +260,7 @@ func (s *Store) Compact(now time.Duration) int {
 			removed++
 		}
 	}
+	s.resetOldest()
 	return removed
 }
 

@@ -3,7 +3,9 @@ package eval
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -174,6 +176,70 @@ func TestStoreForget(t *testing.T) {
 	s.Forget("f")
 	if _, ok := s.Get("f", 0); ok {
 		t.Fatal("forgotten evaluation still readable")
+	}
+}
+
+// TestStoreExpiredMatchesScan checks the expiry queries, which skip
+// their scan while the oldest record is inside the window, against a
+// brute-force scan of the exported records: after writes at
+// non-monotone times, Forget, Compact and Import, with the clock
+// stepping 1 s or a whole window at a time.
+func TestStoreExpiredMatchesScan(t *testing.T) {
+	const window = time.Minute
+	for _, step := range []time.Duration{time.Second, window} {
+		rng := rand.New(rand.NewSource(int64(step)))
+		s, err := NewStore(DefaultBlend(), window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := func(prev, now time.Duration) (between, expired []FileID) {
+			for f, r := range s.Export() {
+				if now-r.UpdatedAt > window {
+					expired = append(expired, f)
+					if prev < now && prev-r.UpdatedAt <= window {
+						between = append(between, f)
+					}
+				}
+			}
+			return between, expired
+		}
+		same := func(a, b []FileID) bool {
+			sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+			sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+			return fmt.Sprint(a) == fmt.Sprint(b)
+		}
+		clock := time.Duration(0)
+		for i := 0; i < 600; i++ {
+			f := FileID(fmt.Sprintf("f%d", rng.Intn(8)))
+			at := clock - time.Duration(rng.Int63n(int64(2*window))) // writes at non-monotone times
+			switch rng.Intn(7) {
+			case 0:
+				s.Vote(f, rng.Float64(), at)
+			case 1:
+				s.SetImplicit(f, rng.Float64(), at)
+			case 2:
+				s.Forget(f)
+			case 3:
+				s.Compact(clock)
+			case 4:
+				records := s.Export()
+				records[f] = Record{Implicit: 0.5, UpdatedAt: at}
+				s.Import(records)
+			default:
+				clock += step
+			}
+			for _, prev := range []time.Duration{clock - step, clock - 3*step, clock} {
+				for _, now := range []time.Duration{clock, clock + step, clock + 2*window} {
+					wantBetween, wantExpired := scan(prev, now)
+					if got := s.ExpiredBetween(prev, now); !same(got, wantBetween) {
+						t.Fatalf("step %v op %d: ExpiredBetween(%v, %v) = %v, want %v", step, i, prev, now, got, wantBetween)
+					}
+					if got := s.ExpiredFiles(now); !same(got, wantExpired) {
+						t.Fatalf("step %v op %d: ExpiredFiles(%v) = %v, want %v", step, i, now, got, wantExpired)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -24,4 +24,5 @@ func (s *Store) Import(records map[FileID]Record) {
 	for f, r := range records {
 		s.records[f] = r
 	}
+	s.resetOldest()
 }

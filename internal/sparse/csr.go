@@ -48,62 +48,57 @@ func (m *Matrix) Freeze() *CSR {
 	return c
 }
 
-// FreezeNormalized freezes raw rows directly into a row-normalised CSR:
-// each non-empty row is divided by its sum (computed in ascending column
-// order, exactly as Matrix.RowNormalize does), and rows whose sum is zero
-// or negative are cleared. rows may be shorter than n; missing and nil
-// rows freeze to empty rows. This is the one-step bridge from the
-// engine's patched raw dimension rows to the frozen form Eq. (3), (5) and
-// (6) need.
+// Row is one frozen matrix row: ascending columns and their values.
+// Rows are shared, not copied, between a row store and the kernels that
+// read it, so a Row is never modified once built.
+type Row struct {
+	Cols []int32
+	Vals []float64
+}
+
+// NormalizeRow is the row normaliser of Eqs. (3), (5) and (6): it
+// divides a raw row by its sum, accumulated in ascending column order,
+// and returns the empty row when that sum is zero or negative. cols must
+// be ascending and unique. vals is divided in place, and the result
+// aliases both slices.
+func NormalizeRow(cols []int32, vals []float64) Row {
+	sum := 0.0
+	for _, v := range vals {
+		sum += v
+	}
+	if sum <= 0 {
+		return Row{}
+	}
+	for k := range vals {
+		vals[k] /= sum
+	}
+	return Row{Cols: cols, Vals: vals}
+}
+
+// FreezeNormalized freezes raw rows directly into a row-normalised CSR,
+// each row through NormalizeRow (the same arithmetic as
+// Matrix.RowNormalize). rows may be shorter than n; missing and nil rows
+// freeze to empty rows.
 func FreezeNormalized(n int, rows []map[int]float64) *CSR {
 	ko := kobs.Load()
 	defer ko.spanFreeze().End()
-	type rowPlan struct {
-		cols []int
-		sum  float64
-	}
-	plans := make([]rowPlan, n)
-	nnz := 0
-	for i := 0; i < n && i < len(rows); i++ {
-		row := rows[i]
-		if len(row) == 0 {
-			continue
-		}
-		cols := sortedCols(row)
-		sum := 0.0
-		for _, j := range cols {
-			sum += row[j]
-		}
-		if sum <= 0 {
-			continue
-		}
-		plans[i] = rowPlan{cols: cols, sum: sum}
-		nnz += len(cols)
-	}
-	c := &CSR{
-		n:      n,
-		rowPtr: make([]int32, n+1),
-		cols:   make([]int32, nnz),
-		vals:   make([]float64, nnz),
-	}
-	for i := 0; i < n; i++ {
-		c.rowPtr[i+1] = c.rowPtr[i] + int32(len(plans[i].cols))
-	}
-	parallelRowBlocks(n, func(lo, hi int) {
+	out := make([]Row, n)
+	parallelRowBlocks(min(n, len(rows)), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p := plans[i]
-			if len(p.cols) == 0 {
+			row := rows[i]
+			if len(row) == 0 {
 				continue
 			}
-			base := int(c.rowPtr[i])
-			row := rows[i]
-			for k, j := range p.cols {
-				c.cols[base+k] = int32(j)
-				c.vals[base+k] = row[j] / p.sum
+			keys := sortedCols(row)
+			cols := make([]int32, len(keys))
+			vals := make([]float64, len(keys))
+			for k, j := range keys {
+				cols[k], vals[k] = int32(j), row[j]
 			}
+			out[i] = NormalizeRow(cols, vals)
 		}
 	})
-	return c
+	return assemble(out)
 }
 
 // N returns the dimension.
@@ -195,92 +190,150 @@ func (c *CSR) RowSum(i int) float64 {
 	return sum
 }
 
-// RowNormalize returns a new CSR with each non-empty row divided by its
-// sum; rows summing to zero or less are cleared, as in Matrix.RowNormalize.
+// RowNormalize returns a new CSR with each row through NormalizeRow:
+// divided by its sum, or cleared when the sum is zero or less, as in
+// Matrix.RowNormalize.
 func (c *CSR) RowNormalize() *CSR {
-	keep := make([]bool, c.n)
-	sums := make([]float64, c.n)
-	nnz := 0
-	for i := 0; i < c.n; i++ {
-		if c.RowNNZ(i) == 0 {
-			continue
-		}
-		s := c.RowSum(i)
-		if s <= 0 {
-			continue
-		}
-		keep[i], sums[i] = true, s
-		nnz += c.RowNNZ(i)
-	}
-	out := &CSR{
-		n:      c.n,
-		rowPtr: make([]int32, c.n+1),
-		cols:   make([]int32, nnz),
-		vals:   make([]float64, nnz),
-	}
-	for i := 0; i < c.n; i++ {
-		out.rowPtr[i+1] = out.rowPtr[i]
-		if keep[i] {
-			out.rowPtr[i+1] += int32(c.RowNNZ(i))
-		}
-	}
+	rows := make([]Row, c.n)
 	parallelRowBlocks(c.n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if !keep[i] {
-				continue
-			}
-			cols, vals := c.Row(i)
-			base := int(out.rowPtr[i])
-			for k := range cols {
-				out.cols[base+k] = cols[k]
-				out.vals[base+k] = vals[k] / sums[i]
-			}
+			rows[i] = NormalizeRow(c.RowCopy(i))
 		}
 	})
-	return out
+	return assemble(rows)
 }
 
-// Weighted is one term of a weighted matrix sum.
+// Weighted is one term of a weighted row sum: Scale times the matrix
+// whose row i is Rows[i].
 type Weighted struct {
 	Scale float64
-	M     *CSR
+	Rows  []Row
 }
 
-// WeightedSum returns Σ terms[t].Scale · terms[t].M as a new CSR — the
-// integration TM = α·FM + β·DM + γ·UM of Eq. (7). Terms with a zero
-// scale are skipped entirely (absent evidence contributes nothing, as in
-// Matrix.AddScaled), per-entry contributions accumulate in term order,
-// and entries whose final value is exactly zero are dropped, matching the
-// map path's zero-removing Set.
-func WeightedSum(n int, terms []Weighted) (*CSR, error) {
-	live := terms[:0:0]
+// WeightedSum returns the integration TM = α·FM + β·DM + γ·UM of
+// Eq. (7), Σ terms[t].Scale · terms[t].Rows, recomputed in the rows
+// listed in dirty (ascending, unique) and copied from prev in every
+// other row; with a nil prev those rows are empty. A full build lists
+// every row. The result is a new CSR, so a reader holding prev is
+// unaffected. Per entry, contributions accumulate from zero in term
+// order, terms with a zero scale are skipped entirely (absent evidence
+// contributes nothing, as in Matrix.AddScaled), and entries whose final
+// value is exactly zero are dropped, matching the map path's
+// zero-removing Set. Every output row is computed by one worker, so the
+// bytes do not depend on GOMAXPROCS.
+func WeightedSum(prev *CSR, n int, dirty []int, terms []Weighted) (*CSR, error) {
+	if prev != nil && prev.n != n {
+		return nil, fmt.Errorf("sparse: dimension mismatch %d vs %d", n, prev.n)
+	}
+	scales := make([]float64, 0, len(terms))
+	var live [][]Row
 	for _, t := range terms {
-		if t.M == nil {
-			return nil, errors.New("sparse: WeightedSum with nil matrix")
-		}
-		if t.M.n != n {
-			return nil, fmt.Errorf("sparse: dimension mismatch %d vs %d", n, t.M.n)
+		if len(t.Rows) != n {
+			return nil, fmt.Errorf("sparse: weighted term has %d rows, want %d", len(t.Rows), n)
 		}
 		if t.Scale == 0 {
 			continue
 		}
-		live = append(live, t)
+		scales = append(scales, t.Scale)
+		live = append(live, t.Rows)
 	}
-	rowsCols := make([][]int32, n)
-	rowsVals := make([][]float64, n)
-	parallelRowBlocksScratch(n, func(s *rowScratch, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.reset()
-			for _, t := range live {
-				cols, vals := t.M.Row(i)
-				for k, j := range cols {
-					s.add(j, t.Scale*vals[k])
-				}
+	for k, i := range dirty {
+		if i < 0 || i >= n || (k > 0 && i <= dirty[k-1]) {
+			return nil, fmt.Errorf("sparse: dirty row %d at %d is out of range or out of order", i, k)
+		}
+	}
+	rows := make([]Row, len(dirty))
+	parallelRowBlocks(len(dirty), func(lo, hi int) {
+		// One buffer per block, sized to the sum of the terms' rows, so
+		// the appends below never move rows already written.
+		size := 0
+		for _, i := range dirty[lo:hi] {
+			for _, r := range live {
+				size += len(r[i].Cols)
 			}
-			rowsCols[i], rowsVals[i] = s.collect(true)
+		}
+		cols := make([]int32, 0, size)
+		vals := make([]float64, 0, size)
+		heads := make([]Row, len(live))
+		for k := lo; k < hi; k++ {
+			for t, r := range live {
+				heads[t] = r[dirty[k]]
+			}
+			start := len(cols)
+			cols, vals = appendWeightedRow(cols, vals, scales, heads)
+			rows[k] = Row{Cols: cols[start:], Vals: vals[start:]}
 		}
 	})
-	return assemble(n, rowsCols, rowsVals), nil
+	return splice(prev, n, dirty, rows), nil
+}
+
+// appendWeightedRow merges the ascending rows in heads, consuming them,
+// and appends Σ scales[t]·heads[t] column by column. It is the per-row
+// arithmetic of WeightedSum.
+//
+//mdrep:hotpath
+func appendWeightedRow(cols []int32, vals []float64, scales []float64, heads []Row) ([]int32, []float64) {
+	for {
+		next := int32(-1)
+		for _, h := range heads {
+			if len(h.Cols) > 0 && (next < 0 || h.Cols[0] < next) {
+				next = h.Cols[0]
+			}
+		}
+		if next < 0 {
+			return cols, vals
+		}
+		v := 0.0
+		for t := range heads {
+			h := &heads[t]
+			if len(h.Cols) > 0 && h.Cols[0] == next {
+				v += scales[t] * h.Vals[0]
+				h.Cols, h.Vals = h.Cols[1:], h.Vals[1:]
+			}
+		}
+		if v != 0 {
+			cols = append(cols, next)
+			vals = append(vals, v)
+		}
+	}
+}
+
+// splice assembles an n×n CSR from the rows listed in dirty (ascending,
+// rows[k] for dirty[k]) and, between them, runs of prev's rows copied
+// verbatim; a nil prev supplies empty rows.
+func splice(prev *CSR, n int, dirty []int, rows []Row) *CSR {
+	c := &CSR{n: n, rowPtr: make([]int32, n+1)}
+	k := 0
+	for i := 0; i < n; i++ {
+		l := 0
+		if k < len(dirty) && dirty[k] == i {
+			l = len(rows[k].Cols)
+			k++
+		} else if prev != nil {
+			l = int(prev.rowPtr[i+1] - prev.rowPtr[i])
+		}
+		c.rowPtr[i+1] = c.rowPtr[i] + int32(l)
+	}
+	c.cols = make([]int32, c.rowPtr[n])
+	c.vals = make([]float64, c.rowPtr[n])
+	copyRun := func(lo, hi int) {
+		if prev == nil || lo >= hi {
+			return
+		}
+		src, dst := prev.rowPtr[lo], c.rowPtr[lo]
+		m := prev.rowPtr[hi] - src
+		copy(c.cols[dst:dst+m], prev.cols[src:src+m])
+		copy(c.vals[dst:dst+m], prev.vals[src:src+m])
+	}
+	lo := 0
+	for k, i := range dirty {
+		copyRun(lo, i)
+		copy(c.cols[c.rowPtr[i]:], rows[k].Cols)
+		copy(c.vals[c.rowPtr[i]:], rows[k].Vals)
+		lo = i + 1
+	}
+	copyRun(lo, n)
+	return c
 }
 
 // Mul returns c · other as a new CSR. Output rows are computed
@@ -298,8 +351,7 @@ func (c *CSR) Mul(other *CSR) (*CSR, error) {
 	}
 	ko := kobs.Load()
 	defer ko.spanMul().End()
-	rowsCols := make([][]int32, c.n)
-	rowsVals := make([][]float64, c.n)
+	out := make([]Row, c.n)
 	parallelRowBlocksScratch(c.n, func(s *rowScratch, lo, hi int) {
 		var rows, nnz uint64
 		for i := lo; i < hi; i++ {
@@ -317,11 +369,11 @@ func (c *CSR) Mul(other *CSR) (*CSR, error) {
 				nnz += uint64(len(ocols))
 			}
 			rows++
-			rowsCols[i], rowsVals[i] = s.collect(false)
+			out[i] = s.collect()
 		}
 		ko.addWork(rows, nnz)
 	})
-	return assemble(c.n, rowsCols, rowsVals), nil
+	return assemble(out), nil
 }
 
 // Pow returns c^k for k >= 1 by the same square-and-multiply sequence as
@@ -392,7 +444,8 @@ func (c *CSR) RowVecPow(i, k int) (map[int]float64, error) {
 			}
 			nnz += uint64(len(mcols))
 		}
-		cols, vals = s.collect(false)
+		next := s.collect()
+		cols, vals = next.Cols, next.Vals
 		ko.addWork(1, nnz)
 		sp.End()
 	}
@@ -591,38 +644,34 @@ func (s *rowScratch) add(j int32, v float64) {
 }
 
 // collect returns the touched entries in ascending column order as fresh
-// slices. dropZero omits entries whose accumulated value is exactly zero
-// (WeightedSum semantics); Mul keeps them, as the map path does.
+// slices. Entries whose accumulated value is exactly zero are kept, as
+// the map path's Mul keeps them.
 //
 //mdrep:hotpath
-func (s *rowScratch) collect(dropZero bool) ([]int32, []float64) {
+func (s *rowScratch) collect() Row {
 	slices.Sort(s.touched) // closure-free; sort.Slice would box its less func
-	cols := make([]int32, 0, len(s.touched))
-	vals := make([]float64, 0, len(s.touched))
-	for _, j := range s.touched {
-		v := s.acc[j]
-		if dropZero && v == 0 {
-			continue
-		}
-		cols = append(cols, j)
-		vals = append(vals, v)
+	cols := make([]int32, len(s.touched))
+	vals := make([]float64, len(s.touched))
+	for k, j := range s.touched {
+		cols[k], vals[k] = j, s.acc[j]
 	}
-	return cols, vals
+	return Row{Cols: cols, Vals: vals}
 }
 
-// assemble concatenates per-row slices into one CSR.
-func assemble(n int, rowsCols [][]int32, rowsVals [][]float64) *CSR {
+// assemble concatenates rows into one CSR of dimension len(rows).
+func assemble(rows []Row) *CSR {
+	n := len(rows)
 	c := &CSR{n: n, rowPtr: make([]int32, n+1)}
 	nnz := 0
-	for i := 0; i < n; i++ {
-		nnz += len(rowsCols[i])
+	for i, r := range rows {
+		nnz += len(r.Cols)
 		c.rowPtr[i+1] = int32(nnz)
 	}
 	c.cols = make([]int32, 0, nnz)
 	c.vals = make([]float64, 0, nnz)
-	for i := 0; i < n; i++ {
-		c.cols = append(c.cols, rowsCols[i]...)
-		c.vals = append(c.vals, rowsVals[i]...)
+	for _, r := range rows {
+		c.cols = append(c.cols, r.Cols...)
+		c.vals = append(c.vals, r.Vals...)
 	}
 	return c
 }

@@ -1,7 +1,10 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -105,16 +108,98 @@ func TestWeightedSumMatchesAddScaled(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := WeightedSum(n, []Weighted{
-			{weights[0], a.Freeze()},
-			{weights[1], b.Freeze()},
-			{weights[2], c.Freeze()},
+		got, err := WeightedSum(nil, n, allRows(n), []Weighted{
+			{weights[0], rowsOf(a.Freeze())},
+			{weights[1], rowsOf(b.Freeze())},
+			{weights[2], rowsOf(c.Freeze())},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustEqualEntries(t, "WeightedSum", ref.Entries(), got.Entries())
 	}
+}
+
+// TestWeightedSumPatchMatchesFull patches a sum in the rows whose terms
+// changed, several times over, and requires the bytes of a full build of
+// the same terms after every patch. The matrix patched from must stay
+// byte-unchanged, and the patch must not depend on GOMAXPROCS: 300 dirty
+// rows span several of the kernel's 128-row blocks.
+func TestWeightedSumPatchMatchesFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const n = 700
+	terms := make([]Weighted, 3)
+	for k := range terms {
+		terms[k] = Weighted{Scale: 0.25 * float64(k+1), Rows: rowsOf(randomMatrix(rng, n, 3).RowNormalize().Freeze())}
+	}
+	prev, err := WeightedSum(nil, n, allRows(n), terms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 6; step++ {
+		fresh := rowsOf(randomMatrix(rng, n, 1+step).RowNormalize().Freeze())
+		seen := make(map[int]bool)
+		var dirty []int
+		for len(dirty) < 50*step {
+			if i := rng.Intn(n); !seen[i] {
+				seen[i] = true
+				dirty = append(dirty, i)
+			}
+		}
+		sort.Ints(dirty)
+		k := rng.Intn(len(terms))
+		for _, i := range dirty {
+			if rng.Intn(3) > 0 { // some dirty rows keep their terms
+				terms[k].Rows[i] = fresh[i]
+			}
+		}
+		before := csrBytes(prev)
+		var got [2]*CSR
+		for g, procs := range []int{1, 4} {
+			old := runtime.GOMAXPROCS(procs)
+			got[g], err = WeightedSum(prev, n, dirty, terms)
+			runtime.GOMAXPROCS(old)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := WeightedSum(nil, n, allRows(n), terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g, c := range got {
+			if csrBytes(c) != csrBytes(want) {
+				t.Fatalf("step %d, variant %d: patched sum differs from a full build", step, g)
+			}
+		}
+		if csrBytes(prev) != before {
+			t.Fatalf("step %d: patching changed the matrix patched from", step)
+		}
+		prev = got[0]
+	}
+}
+
+// rowsOf returns c's rows as frozen Rows aliasing c's storage.
+func rowsOf(c *CSR) []Row {
+	out := make([]Row, c.N())
+	for i := range out {
+		out[i].Cols, out[i].Vals = c.Row(i)
+	}
+	return out
+}
+
+// allRows lists [0, n), the dirty set of a full build.
+func allRows(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// csrBytes renders a CSR's arrays exactly, for byte comparisons.
+func csrBytes(c *CSR) string {
+	return fmt.Sprintf("%d %v %v %v", c.n, c.rowPtr, c.cols, c.vals)
 }
 
 func TestCSRMulMatchesMap(t *testing.T) {
@@ -250,11 +335,19 @@ func TestCSRErrors(t *testing.T) {
 	if _, err := c.MulVec(make([]float64, 3)); err == nil {
 		t.Fatal("MulVec length mismatch accepted")
 	}
-	if _, err := WeightedSum(2, []Weighted{{1, other}}); err == nil {
+	if _, err := WeightedSum(nil, 2, allRows(2), []Weighted{{1, rowsOf(other)}}); err == nil {
 		t.Fatal("WeightedSum dimension mismatch accepted")
 	}
-	if _, err := WeightedSum(2, []Weighted{{1, nil}}); err == nil {
-		t.Fatal("WeightedSum nil matrix accepted")
+	if _, err := WeightedSum(nil, 2, allRows(2), []Weighted{{1, nil}}); err == nil {
+		t.Fatal("WeightedSum nil rows accepted")
+	}
+	if _, err := WeightedSum(other, 2, allRows(2), []Weighted{{1, rowsOf(c)}}); err == nil {
+		t.Fatal("WeightedSum patch of a matrix of another dimension accepted")
+	}
+	for _, dirty := range [][]int{{1, 0}, {0, 0}, {2}, {-1}} {
+		if _, err := WeightedSum(c, 2, dirty, []Weighted{{1, rowsOf(c)}}); err == nil {
+			t.Fatalf("WeightedSum dirty rows %v accepted", dirty)
+		}
 	}
 }
 
