@@ -108,13 +108,18 @@ flight:
 
 # sim runs the massim adversarial scenario suite under the race
 # detector twice over, then asserts the determinism contract the hard
-# way: two CLI runs of every scenario at n=10k must be byte-identical.
+# way: two CLI runs of every scenario at n=10k must be byte-identical,
+# and so must two runs at n=2k with -baselines, which replay the
+# rating log through EigenTrust, BLUE and the engine mirror.
 sim:
 	$(GO) test -race -count=2 mdrep/internal/massim
 	$(GO) build -o $(BIN)/mdrep-sim ./cmd/mdrep-sim
 	$(BIN)/mdrep-sim -exp massim -scenario all -n 10000 -seed 7 > $(BIN)/massim.a.txt
 	$(BIN)/mdrep-sim -exp massim -scenario all -n 10000 -seed 7 > $(BIN)/massim.b.txt
 	cmp $(BIN)/massim.a.txt $(BIN)/massim.b.txt
+	$(BIN)/mdrep-sim -exp massim -scenario all -n 2000 -seed 7 -baselines > $(BIN)/massim-baselines.a.txt
+	$(BIN)/mdrep-sim -exp massim -scenario all -n 2000 -seed 7 -baselines > $(BIN)/massim-baselines.b.txt
+	cmp $(BIN)/massim-baselines.a.txt $(BIN)/massim-baselines.b.txt
 	@echo "massim: scenario suite passed, reruns byte-identical"
 
 # shard runs the sharded-engine suite under the race detector twice

@@ -325,17 +325,10 @@ func BenchmarkFileJudgement(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseMatMul measures TM·TM on a Maze-sized sparse matrix.
+// BenchmarkSparseMatMul measures TM·TM on a Maze-sized sparse matrix:
+// the CSR product that CSR.Pow and multitier.NewClassifier run.
 func BenchmarkSparseMatMul(b *testing.B) {
-	rng := sim.NewRNG(1)
-	n := 1000
-	m := sparse.New(n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < 20; k++ {
-			m.Set(i, rng.Intn(n), rng.Float64())
-		}
-	}
-	m.RowNormalize()
+	m := randomStochastic(1, 1000)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -346,35 +339,26 @@ func BenchmarkSparseMatMul(b *testing.B) {
 }
 
 // randomStochastic builds an n×n row-stochastic matrix at Maze density
-// (~20 nnz/row), the same fill as BenchmarkSparseMatMul.
-func randomStochastic(seed uint64, n int) *sparse.Matrix {
+// (~20 nnz/row).
+func randomStochastic(seed uint64, n int) *sparse.CSR {
 	rng := sim.NewRNG(seed)
-	m := sparse.New(n)
-	for i := 0; i < n; i++ {
+	rows := make([]map[int]float64, n)
+	for i := range rows {
+		rows[i] = make(map[int]float64, 20)
 		for k := 0; k < 20; k++ {
-			m.Set(i, rng.Intn(n), rng.Float64())
+			rows[i][rng.Intn(n)] = rng.Float64()
 		}
 	}
-	return m.RowNormalize()
+	return sparse.FreezeNormalized(n, rows)
 }
 
-// BenchmarkRMPowParallel compares RM = TM^k (Eq. 8) on the seed's
-// map-backed Pow against the CSR worker-pool Pow. k = 2 keeps the power
-// sparse enough (~400 nnz/row) that the map path fits in memory at
-// n = 10k; higher powers densify and only widen the gap.
+// BenchmarkRMPowParallel measures RM = TM^k (Eq. 8) on the CSR
+// worker-pool Pow. k = 2 keeps the power sparse (~400 nnz/row) at
+// n = 10k; higher powers densify.
 func BenchmarkRMPowParallel(b *testing.B) {
 	const steps = 2
 	for _, n := range []int{1000, 10000} {
-		m := randomStochastic(uint64(n), n)
-		c := m.Freeze()
-		b.Run(fmt.Sprintf("map/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Pow(steps); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		c := randomStochastic(uint64(n), n)
 		b.Run(fmt.Sprintf("csr/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -447,15 +431,7 @@ func BenchmarkBuildTMIncremental(b *testing.B) {
 
 // BenchmarkEigenTrust measures the baseline's power iteration at n=1000.
 func BenchmarkEigenTrust(b *testing.B) {
-	rng := sim.NewRNG(2)
-	n := 1000
-	m := sparse.New(n)
-	for i := 0; i < n; i++ {
-		for k := 0; k < 20; k++ {
-			m.Set(i, rng.Intn(n), rng.Float64())
-		}
-	}
-	m.RowNormalize()
+	m := randomStochastic(2, 1000)
 	cfg := eigentrust.DefaultConfig([]int{0, 1, 2})
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -1,8 +1,7 @@
 // mdrep-lint is the project's custom static-analysis suite packaged as a
 // vet tool. It enforces the invariants the reputation engine's
 // correctness rests on but the compiler cannot check: bit-identical
-// float accumulation for journal replay (detfloat), the
-// sparse.Matrix.Row aliasing contract (rowalias), injected clocks and
+// float accumulation for journal replay (detfloat), injected clocks and
 // seeded randomness in deterministic packages (wallclock), the
 // core.Sharded locking discipline (locksafe), allocation-free
 // //mdrep:hotpath functions (allocfree), fault-taxonomy classification

@@ -10,12 +10,11 @@
 // determinism contract (DESIGN.md §8) forbids.
 //
 // detfloat flags assignments that accumulate a float value across the
-// iterations of a `range` statement over a map, inside the
-// replay-deterministic packages (core, sparse, journal, wire, eval) and
-// the figure-reproducing experiments package. Accumulation into an
-// element keyed by the range variable itself (next[j] += v inside
-// `for j, v := range row`) is order-independent — each key owns its own
-// accumulator — and is not flagged.
+// iterations of a `range` statement over a map, inside the packages
+// listed in Packages. Accumulation into an element keyed by the range
+// variable itself (next[j] += v inside `for j, v := range row`) is
+// order-independent — each key owns its own accumulator — and is not
+// flagged.
 package detfloat
 
 import (
@@ -31,8 +30,10 @@ import (
 )
 
 // Packages is the set of packages whose float arithmetic must not depend
-// on map iteration order: the replay-deterministic core pipeline plus the
-// experiments package, whose figures must reproduce run to run.
+// on map iteration order: the replay-deterministic core pipeline (core,
+// sparse, journal, wire, eval) plus the packages whose figures and
+// verdicts must reproduce run to run (experiments, chaos, massim, blue,
+// walk).
 var Packages = []string{"core", "sparse", "journal", "wire", "eval", "experiments", "chaos", "massim", "blue", "walk"}
 
 // name is the analyzer name, also the token accepted by //mdrep:allow.
@@ -44,7 +45,7 @@ var Analyzer = &analysis.Analyzer{
 		"Float addition is not associative and Go randomises map iteration, so a\n" +
 		"sum accumulated while ranging over a map may differ bit-wise between two\n" +
 		"runs on identical data, breaking bit-identical journal replay. Iterate\n" +
-		"sorted keys instead (see sparse.sortedCols / Matrix.ForEachRow).",
+		"sorted keys instead (see sparse.sortedCols).",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }

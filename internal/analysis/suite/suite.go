@@ -1,6 +1,6 @@
 // Package suite enumerates the mdrep analyzer suite: the custom
 // go/analysis passes that mechanically enforce the engine's determinism,
-// aliasing, locking, allocation, fault-taxonomy, metric-cardinality and
+// locking, allocation, fault-taxonomy, metric-cardinality and
 // leak-check conventions (DESIGN.md §10). cmd/mdrep-lint wires the suite
 // into `go vet -vettool`; the meta-test in this package asserts the
 // suite is clean on the repository itself.
@@ -15,7 +15,6 @@ import (
 	"mdrep/internal/analysis/leakmain"
 	"mdrep/internal/analysis/locksafe"
 	"mdrep/internal/analysis/metriclabel"
-	"mdrep/internal/analysis/rowalias"
 	"mdrep/internal/analysis/wallclock"
 )
 
@@ -23,7 +22,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detfloat.Analyzer,
-		rowalias.Analyzer,
 		wallclock.Analyzer,
 		locksafe.Analyzer,
 		allocfree.Analyzer,

@@ -13,8 +13,8 @@ import (
 
 func TestAnalyzersAreValid(t *testing.T) {
 	analyzers := suite.Analyzers()
-	if len(analyzers) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8", len(analyzers))
+	if len(analyzers) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(analyzers))
 	}
 	if err := analysis.Validate(analyzers); err != nil {
 		t.Fatal(err)

@@ -445,134 +445,6 @@ func (e *Engine) compactEvidence(now time.Duration, owns func(p int) bool, mark 
 	})
 }
 
-// --- reference (from-scratch) builders --------------------------------------
-
-// The map-backed full rebuilds below are the executable specification the
-// row store is tested against: incremental_test.go asserts Sharded's
-// patched rows and TM match these entry-for-entry, bit for bit. They are
-// deliberately kept byte-compatible with the pre-CSR implementation.
-
-// buildFMRef constructs the file-based one-step matrix (Eq. 2–3) from
-// scratch. For each pair (i, j) with a non-empty co-evaluated set F of
-// size m:
-//
-//	FT_ij = 1 - (1/m)·Σ_{k∈F} |E_ik − E_jk|
-//
-// then rows are normalised. Construction walks the inverted file index, so
-// cost is Σ_f |evaluators(f)|², the actual co-evaluation mass.
-func (e *Engine) buildFMRef(now time.Duration) *sparse.Matrix {
-	type pairKey struct{ i, j int }
-	sums := make(map[pairKey]float64)
-	counts := make(map[pairKey]int)
-	// Cache each peer's snapshot once.
-	snaps := make([]map[eval.FileID]float64, e.n)
-	snap := func(p int) map[eval.FileID]float64 {
-		if snaps[p] == nil {
-			snaps[p] = e.stores[p].Snapshot(now)
-		}
-		return snaps[p]
-	}
-	maxEval := e.cfg.MaxEvaluatorsPerFile
-	// Iterate files in sorted order and evaluators in peer order so the
-	// floating-point accumulation below is deterministic: a journal replay
-	// (internal/journal) must rebuild bit-identical matrices.
-	for _, f := range e.evaluators.sortedFiles() {
-		// Collect live evaluators of f.
-		var live []int
-		var vals []float64
-		e.evaluators.forEachPeer(f, func(p int) {
-			if v, ok := snap(p)[f]; ok {
-				live = append(live, p)
-				vals = append(vals, v)
-			}
-		})
-		sort.Sort(&evaluatorsByPeer{peers: live, vals: vals})
-		if maxEval > 0 && len(live) > maxEval {
-			// Deterministic sample: keep a strided subset of the ordered
-			// evaluators so the kept set is stable across rebuilds and
-			// spans the index range.
-			stride := float64(len(live)) / float64(maxEval)
-			for k := 0; k < maxEval; k++ {
-				i := int(float64(k) * stride)
-				live[k], vals[k] = live[i], vals[i]
-			}
-			live, vals = live[:maxEval], vals[:maxEval]
-		}
-		for a := 0; a < len(live); a++ {
-			for b := a + 1; b < len(live); b++ {
-				i, j := live[a], live[b]
-				if i > j {
-					i, j = j, i
-				}
-				k := pairKey{i, j}
-				sums[k] += math.Abs(vals[a] - vals[b])
-				counts[k]++
-			}
-		}
-	}
-	fm := sparse.New(e.n)
-	for k, c := range counts {
-		ft := 1 - sums[k]/float64(c)
-		if ft <= 0 {
-			continue
-		}
-		// FT is symmetric; FM is not after row normalisation.
-		fm.Set(k.i, k.j, ft)
-		fm.Set(k.j, k.i, ft)
-	}
-	return fm.RowNormalize()
-}
-
-// buildDMRef constructs the download-volume matrix (Eq. 4–5) from scratch.
-func (e *Engine) buildDMRef(now time.Duration) *sparse.Matrix {
-	dm := sparse.New(e.n)
-	floor := e.cfg.Retention.Floor
-	for i, per := range e.downloads {
-		for j, entries := range per {
-			vd := 0.0
-			for _, d := range entries {
-				ev, ok := e.stores[i].Get(d.file, now)
-				if !ok {
-					ev = floor
-				}
-				vd += ev * float64(d.size)
-			}
-			if vd > 0 {
-				dm.Set(i, j, vd)
-			}
-		}
-	}
-	return dm.RowNormalize()
-}
-
-// buildUMRef constructs the user-based matrix (Eq. 6) from scratch.
-func (e *Engine) buildUMRef() *sparse.Matrix {
-	um := sparse.New(e.n)
-	for i, per := range e.userTrust {
-		for j, v := range per {
-			if v > 0 {
-				um.Set(i, j, v)
-			}
-		}
-	}
-	return um.RowNormalize()
-}
-
-// buildTMRef integrates the reference dimensions from scratch (Eq. 7).
-func (e *Engine) buildTMRef(now time.Duration) (*sparse.Matrix, error) {
-	tm := sparse.New(e.n)
-	if err := tm.AddScaled(e.cfg.Alpha, e.buildFMRef(now)); err != nil {
-		return nil, err
-	}
-	if err := tm.AddScaled(e.cfg.Beta, e.buildDMRef(now)); err != nil {
-		return nil, err
-	}
-	if err := tm.AddScaled(e.cfg.Gamma, e.buildUMRef()); err != nil {
-		return nil, err
-	}
-	return tm, nil
-}
-
 // evaluatorsByPeer sorts parallel (peer, value) slices by peer index.
 type evaluatorsByPeer struct {
 	peers []int

@@ -25,11 +25,10 @@ import (
 // the default, and one that splits rows and dirty sets across workers.
 var incrementalShards = []int{1, 3}
 
-// mustMatchRef fails unless the entries equal the reference matrix's
+// mustMatchRef fails unless have equals the reference entries want
 // exactly.
-func mustMatchRef(t *testing.T, label string, ref *sparse.Matrix, have []sparse.Entry) {
+func mustMatchRef(t *testing.T, label string, want, have []sparse.Entry) {
 	t.Helper()
-	want := ref.Entries()
 	if len(want) != len(have) {
 		t.Fatalf("%s: %d entries, want %d", label, len(have), len(want))
 	}
@@ -59,14 +58,10 @@ func checkAllDims(t *testing.T, s *Sharded, now time.Duration, label string) *sp
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustMatchRef(t, label+"/FM", s.eng.buildFMRef(now), rowEntries(s.dims[dimFM]))
-	mustMatchRef(t, label+"/DM", s.eng.buildDMRef(now), rowEntries(s.dims[dimDM]))
-	mustMatchRef(t, label+"/UM", s.eng.buildUMRef(), rowEntries(s.dims[dimUM]))
-	refTM, err := s.eng.buildTMRef(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustMatchRef(t, label+"/TM", refTM, tm.Entries())
+	mustMatchRef(t, label+"/FM", refEntries(s.eng.buildFMRef(now)), rowEntries(s.dims[dimFM]))
+	mustMatchRef(t, label+"/DM", refEntries(s.eng.buildDMRef(now)), rowEntries(s.dims[dimDM]))
+	mustMatchRef(t, label+"/UM", refEntries(s.eng.buildUMRef()), rowEntries(s.dims[dimUM]))
+	mustMatchRef(t, label+"/TM", refEntries(s.eng.buildTMRef(now)), tm.Entries())
 	return tm
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"mdrep/internal/eval"
@@ -77,19 +76,6 @@ func (x *evalIndex) forEachPeer(f eval.FileID, fn func(p int)) {
 	s.mu.Unlock()
 }
 
-// peers returns a copy of f's evaluator set, in no particular order.
-func (x *evalIndex) peers(f eval.FileID) []int {
-	s := x.stripeOf(f)
-	s.mu.Lock()
-	m := s.files[f]
-	out := make([]int, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // fileCount returns the number of indexed files.
 func (x *evalIndex) fileCount() int {
 	n := 0
@@ -100,23 +86,6 @@ func (x *evalIndex) fileCount() int {
 		s.mu.Unlock()
 	}
 	return n
-}
-
-// sortedFiles returns every indexed file ID in ascending order — the
-// iteration order the reference FM rebuild fixes its float accumulation
-// to.
-func (x *evalIndex) sortedFiles() []eval.FileID {
-	var out []eval.FileID
-	for i := range x.stripes {
-		s := &x.stripes[i]
-		s.mu.Lock()
-		for f := range s.files {
-			out = append(out, f)
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // prune removes index entries for peers selected by owns whose evaluation

@@ -82,7 +82,7 @@ type Result struct {
 // (c.Get(i, j) is how much i trusts j). Rows that are entirely empty are
 // treated as trusting the pre-trusted set, the standard EigenTrust fix for
 // dangling rows.
-func Compute(c *sparse.Matrix, cfg Config) (*Result, error) {
+func Compute(c *sparse.CSR, cfg Config) (*Result, error) {
 	n := c.N()
 	if n == 0 {
 		return nil, errors.New("eigentrust: empty matrix")
@@ -110,9 +110,16 @@ func Compute(c *sparse.Matrix, cfg Config) (*Result, error) {
 
 	res := &Result{}
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		next, err := c.VecMul(t)
-		if err != nil {
-			return nil, err
+		// next = tᵀ·C: each next[j] sums t_i·c_ij over ascending i.
+		next := make([]float64, n)
+		for i, ti := range t {
+			if ti == 0 {
+				continue
+			}
+			cols, vals := c.Row(i)
+			for k, j := range cols {
+				next[j] += ti * vals[k]
+			}
 		}
 		// Dangling rows redistribute their mass over the pre-trusted set.
 		var danglingMass float64
@@ -149,22 +156,31 @@ func Compute(c *sparse.Matrix, cfg Config) (*Result, error) {
 
 // LocalTrustFromSatisfaction builds the row-normalised local trust matrix
 // from satisfaction counts: c_ij = max(sat_ij − unsat_ij, 0), normalised
-// per row — the construction of the original paper's §4.1. The sat and
-// unsat matrices carry raw counts.
-func LocalTrustFromSatisfaction(sat, unsat *sparse.Matrix) (*sparse.Matrix, error) {
-	if sat == nil || unsat == nil {
-		return nil, errors.New("eigentrust: nil satisfaction matrix")
+// per row — the construction of the original paper's §4.1. sat[i] and
+// unsat[i] map peer j to rater i's raw counts; both ledgers must cover
+// the same n peers, and every column must lie in [0, n).
+func LocalTrustFromSatisfaction(sat, unsat []map[int]float64) (*sparse.CSR, error) {
+	n := len(sat)
+	if len(unsat) != n {
+		return nil, fmt.Errorf("eigentrust: dimension mismatch %d vs %d", n, len(unsat))
 	}
-	if sat.N() != unsat.N() {
-		return nil, fmt.Errorf("eigentrust: dimension mismatch %d vs %d", sat.N(), unsat.N())
-	}
-	c := sparse.New(sat.N())
-	for i := 0; i < sat.N(); i++ {
-		sat.ForEachRow(i, func(j int, s float64) {
-			if v := s - unsat.Get(i, j); v > 0 {
-				c.Set(i, j, v)
+	net := make([]map[int]float64, n)
+	for i := range sat {
+		for _, row := range []map[int]float64{sat[i], unsat[i]} {
+			for j := range row {
+				if j < 0 || j >= n {
+					return nil, fmt.Errorf("eigentrust: peer %d rates peer %d outside [0, %d)", i, j, n)
+				}
 			}
-		})
+		}
+		for j, s := range sat[i] {
+			if v := s - unsat[i][j]; v > 0 {
+				if net[i] == nil {
+					net[i] = make(map[int]float64)
+				}
+				net[i][j] = v
+			}
+		}
 	}
-	return c.RowNormalize(), nil
+	return sparse.FreezeNormalized(n, net), nil
 }

@@ -8,12 +8,12 @@ import (
 	"mdrep/internal/sparse"
 )
 
-func ringMatrix(n int) *sparse.Matrix {
-	m := sparse.New(n)
-	for i := 0; i < n; i++ {
-		m.Set(i, (i+1)%n, 1)
+func ringMatrix(n int) *sparse.CSR {
+	rows := make([]map[int]float64, n)
+	for i := range rows {
+		rows[i] = map[int]float64{(i + 1) % n: 1}
 	}
-	return m.RowNormalize()
+	return sparse.FreezeNormalized(n, rows)
 }
 
 func TestComputeUniformOnSymmetricRing(t *testing.T) {
@@ -38,13 +38,11 @@ func TestComputeUniformOnSymmetricRing(t *testing.T) {
 func TestComputeFavorsHighlyTrustedPeer(t *testing.T) {
 	// Everyone trusts peer 0; peer 0 trusts peer 1.
 	n := 6
-	m := sparse.New(n)
+	rows := []map[int]float64{{1: 1}}
 	for i := 1; i < n; i++ {
-		m.Set(i, 0, 1)
+		rows = append(rows, map[int]float64{0: 1})
 	}
-	m.Set(0, 1, 1)
-	m.RowNormalize()
-	res, err := Compute(m, DefaultConfig([]int{2}))
+	res, err := Compute(sparse.FreezeNormalized(n, rows), DefaultConfig([]int{2}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +59,7 @@ func TestComputeFavorsHighlyTrustedPeer(t *testing.T) {
 func TestComputeIsolatedCliqueLimitedByDamping(t *testing.T) {
 	// A collusion clique (3,4) trusts only itself; nobody outside trusts
 	// it. Pre-trust damping keeps its global trust near zero.
-	n := 5
-	m := sparse.New(n)
-	m.Set(0, 1, 1)
-	m.Set(1, 2, 1)
-	m.Set(2, 0, 1)
-	m.Set(3, 4, 1)
-	m.Set(4, 3, 1)
-	m.RowNormalize()
+	m := sparse.FreezeNormalized(5, []map[int]float64{{1: 1}, {2: 1}, {0: 1}, {4: 1}, {3: 1}})
 	res, err := Compute(m, DefaultConfig([]int{0}))
 	if err != nil {
 		t.Fatal(err)
@@ -82,11 +73,7 @@ func TestComputeIsolatedCliqueLimitedByDamping(t *testing.T) {
 func TestComputeDanglingRows(t *testing.T) {
 	// Peer 2 has no outgoing trust; its mass must flow to pre-trusted
 	// peers rather than leak.
-	n := 3
-	m := sparse.New(n)
-	m.Set(0, 2, 1)
-	m.Set(1, 2, 1)
-	m.RowNormalize()
+	m := sparse.FreezeNormalized(3, []map[int]float64{{2: 1}, {2: 1}})
 	res, err := Compute(m, DefaultConfig([]int{0}))
 	if err != nil {
 		t.Fatal(err)
@@ -104,8 +91,12 @@ func TestComputeDanglingRows(t *testing.T) {
 }
 
 func TestComputeRejectsNonStochastic(t *testing.T) {
-	m := sparse.New(2)
-	m.Set(0, 1, 2) // row sums to 2
+	m, err := sparse.WeightedSum(nil, 2, []int{0, 1}, []sparse.Weighted{
+		{Scale: 2, Rows: []sparse.Row{{Cols: []int32{1}, Vals: []float64{1}}, {}}}, // row sums to 2
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Compute(m, DefaultConfig([]int{0})); err == nil {
 		t.Fatal("non-stochastic matrix accepted")
 	}
@@ -130,13 +121,14 @@ func TestConfigValidation(t *testing.T) {
 func TestComputeDeterministic(t *testing.T) {
 	rng := sim.NewRNG(3)
 	n := 30
-	m := sparse.New(n)
-	for i := 0; i < n; i++ {
+	rows := make([]map[int]float64, n)
+	for i := range rows {
+		rows[i] = map[int]float64{}
 		for k := 0; k < 4; k++ {
-			m.Set(i, rng.Intn(n), rng.Float64()+0.01)
+			rows[i][rng.Intn(n)] = rng.Float64() + 0.01
 		}
 	}
-	m.RowNormalize()
+	m := sparse.FreezeNormalized(n, rows)
 	a, err := Compute(m, DefaultConfig([]int{0, 1}))
 	if err != nil {
 		t.Fatal(err)
@@ -153,12 +145,8 @@ func TestComputeDeterministic(t *testing.T) {
 }
 
 func TestLocalTrustFromSatisfaction(t *testing.T) {
-	sat := sparse.New(3)
-	unsat := sparse.New(3)
-	sat.Set(0, 1, 10)
-	unsat.Set(0, 1, 4) // net 6
-	sat.Set(0, 2, 3)
-	unsat.Set(0, 2, 5) // net negative → dropped
+	sat := []map[int]float64{{1: 10, 2: 3}, nil, nil}
+	unsat := []map[int]float64{{1: 4, 2: 5}, nil, nil} // nets 6 and −2
 	c, err := LocalTrustFromSatisfaction(sat, unsat)
 	if err != nil {
 		t.Fatal(err)
@@ -172,10 +160,19 @@ func TestLocalTrustFromSatisfaction(t *testing.T) {
 }
 
 func TestLocalTrustFromSatisfactionErrors(t *testing.T) {
-	if _, err := LocalTrustFromSatisfaction(nil, sparse.New(2)); err == nil {
+	if _, err := LocalTrustFromSatisfaction(nil, make([]map[int]float64, 2)); err == nil {
 		t.Fatal("nil sat accepted")
 	}
-	if _, err := LocalTrustFromSatisfaction(sparse.New(2), sparse.New(3)); err == nil {
+	if _, err := LocalTrustFromSatisfaction(make([]map[int]float64, 2), make([]map[int]float64, 3)); err == nil {
 		t.Fatal("dimension mismatch accepted")
+	}
+	for _, j := range []int{-1, 2} {
+		bad := []map[int]float64{{j: 1}, nil}
+		if _, err := LocalTrustFromSatisfaction(bad, make([]map[int]float64, 2)); err == nil {
+			t.Fatalf("satisfied rating of peer %d of 2 accepted", j)
+		}
+		if _, err := LocalTrustFromSatisfaction(make([]map[int]float64, 2), bad); err == nil {
+			t.Fatalf("unsatisfied rating of peer %d of 2 accepted", j)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"mdrep/internal/p2psim"
 	"mdrep/internal/security"
 	"mdrep/internal/sim"
-	"mdrep/internal/sparse"
 	"mdrep/internal/trace"
 )
 
@@ -231,7 +230,15 @@ func E3Collusion(cfg E3Config) (*E3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sat := sparse.New(n)
+	// sat[i][j] counts i's satisfactory downloads from j: the EigenTrust
+	// and Tit-for-Tat ledger.
+	sat := make([]map[int]float64, n)
+	credit := func(i, j int, v float64) {
+		if sat[i] == nil {
+			sat[i] = make(map[int]float64)
+		}
+		sat[i][j] += v
+	}
 	var cliqueVolume, totalVolume float64
 	cliqueStart := cfg.HonestPeers
 	redirect := rng.DeriveStream("redirect")
@@ -256,7 +263,7 @@ func E3Collusion(cfg E3Config) (*E3Result, error) {
 		if err := engine.SetImplicit(rec.Downloader, f, v, rec.Time); err != nil {
 			return nil, err
 		}
-		sat.Add(rec.Downloader, uploader, 1)
+		credit(rec.Downloader, uploader, 1)
 		totalVolume += float64(rec.Size)
 		if uploader >= cliqueStart {
 			cliqueVolume += float64(rec.Size)
@@ -277,7 +284,7 @@ func E3Collusion(cfg E3Config) (*E3Result, error) {
 	for _, i := range clique {
 		for _, j := range clique {
 			if i != j {
-				sat.Add(i, j, float64(cliqueCfg.FakeDownloads))
+				credit(i, j, float64(cliqueCfg.FakeDownloads))
 			}
 		}
 	}
@@ -298,14 +305,7 @@ func E3Collusion(cfg E3Config) (*E3Result, error) {
 			if err != nil {
 				return 0, err
 			}
-			// Accumulate in ascending peer order: float sums over map
-			// iteration would differ run to run.
-			peers := make([]int, 0, len(row))
-			for p := range row {
-				peers = append(peers, p)
-			}
-			sort.Ints(peers)
-			for _, p := range peers {
+			for _, p := range ascendingPeers(row) {
 				total += row[p]
 				if p >= cliqueStart {
 					cliqueMass += row[p]
@@ -325,7 +325,7 @@ func E3Collusion(cfg E3Config) (*E3Result, error) {
 	}
 
 	// EigenTrust over the satisfaction ledger.
-	local, err := eigentrust.LocalTrustFromSatisfaction(sat, sparse.New(n))
+	local, err := eigentrust.LocalTrustFromSatisfaction(sat, make([]map[int]float64, n))
 	if err != nil {
 		return nil, err
 	}
@@ -342,17 +342,28 @@ func E3Collusion(cfg E3Config) (*E3Result, error) {
 	// Tit-for-Tat: the panel's private credit toward the clique.
 	var tftClique, tftTotal float64
 	for _, obs := range panel {
-		sat.ForEachRow(obs, func(j int, v float64) {
-			tftTotal += v
+		for _, j := range ascendingPeers(sat[obs]) {
+			tftTotal += sat[obs][j]
 			if j >= cliqueStart {
-				tftClique += v
+				tftClique += sat[obs][j]
 			}
-		})
+		}
 	}
 	if tftTotal > 0 {
 		res.TitForTatShare = tftClique / tftTotal
 	}
 	return res, nil
+}
+
+// ascendingPeers returns a row's peers in ascending order, the order E3
+// sums a row in: a float sum over map iteration would differ run to run.
+func ascendingPeers(row map[int]float64) []int {
+	peers := make([]int, 0, len(row))
+	for p := range row {
+		peers = append(peers, p)
+	}
+	sort.Ints(peers)
+	return peers
 }
 
 // Render formats E3 as the amplification table.

@@ -11,7 +11,6 @@ import (
 	"mdrep/internal/eigentrust"
 	"mdrep/internal/eval"
 	"mdrep/internal/multitier"
-	"mdrep/internal/sparse"
 )
 
 // ClassMean is one estimator's mean score over one class.
@@ -102,7 +101,7 @@ func (s *Sim) runBaselines() (*BaselineResult, error) {
 	// Fold runs of equal (rater, target) into pairwise counts.
 	type pair struct{ sat, unsat float64 }
 	var samples []blue.Sample
-	satM, unsM := sparse.New(s.cfg.N), sparse.New(s.cfg.N)
+	satM, unsM := make([]map[int]float64, s.cfg.N), make([]map[int]float64, s.cfg.N)
 	for i := 0; i < len(recs); {
 		j := i
 		var p pair
@@ -117,8 +116,12 @@ func (s *Sim) runBaselines() (*BaselineResult, error) {
 			Rater: int(recs[i].rater), Target: int(recs[i].target),
 			Sat: p.sat, Unsat: p.unsat,
 		})
-		satM.Add(int(recs[i].rater), int(recs[i].target), p.sat)
-		unsM.Add(int(recs[i].rater), int(recs[i].target), p.unsat)
+		r := int(recs[i].rater)
+		if satM[r] == nil {
+			satM[r], unsM[r] = make(map[int]float64), make(map[int]float64)
+		}
+		satM[r][int(recs[i].target)] = p.sat
+		unsM[r][int(recs[i].target)] = p.unsat
 		i = j
 	}
 

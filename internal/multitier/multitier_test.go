@@ -8,11 +8,11 @@ import (
 
 // chainMatrix builds 0→1→2→3→… with unit trust.
 func chainMatrix(n int) *sparse.CSR {
-	m := sparse.New(n)
+	rows := make([]map[int]float64, n)
 	for i := 0; i+1 < n; i++ {
-		m.Set(i, i+1, 1)
+		rows[i] = map[int]float64{i + 1: 1}
 	}
-	return m.RowNormalize().Freeze()
+	return sparse.FreezeNormalized(n, rows)
 }
 
 func TestTierDepth(t *testing.T) {
@@ -61,10 +61,8 @@ func TestRankPrefersLowerTier(t *testing.T) {
 }
 
 func TestRankWithinTierByTrust(t *testing.T) {
-	m := sparse.New(4)
-	m.Set(0, 1, 3) // stronger direct trust
-	m.Set(0, 2, 1)
-	c, err := NewClassifier(m.RowNormalize().Freeze(), 2)
+	m := sparse.FreezeNormalized(4, []map[int]float64{{1: 3, 2: 1}}) // 0 trusts 1 more
+	c, err := NewClassifier(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestNewClassifierValidation(t *testing.T) {
 	if _, err := NewClassifier(nil, 2); err == nil {
 		t.Fatal("nil matrix accepted")
 	}
-	if _, err := NewClassifier(sparse.New(2).Freeze(), 0); err == nil {
+	if _, err := NewClassifier(sparse.FreezeNormalized(2, nil), 0); err == nil {
 		t.Fatal("maxTier 0 accepted")
 	}
 }
@@ -134,33 +132,33 @@ func TestClassifierDoesNotMutateInput(t *testing.T) {
 }
 
 // TestClassifierMatchesMapPowers cross-checks the CSR power chain against
-// map-backed multiplication.
+// powers multiplied out over map rows. Every entry is a power of 1/2, so
+// each product is exact in any summation order and == is the right test.
 func TestClassifierMatchesMapPowers(t *testing.T) {
-	m := sparse.New(5)
-	m.Set(0, 1, 0.5)
-	m.Set(0, 2, 0.5)
-	m.Set(1, 3, 1)
-	m.Set(2, 4, 1)
-	m.Set(3, 0, 1)
-	norm := m.RowNormalize()
-	c, err := NewClassifier(norm.Freeze(), 3)
+	norm := []map[int]float64{{1: 0.5, 2: 0.5}, {3: 1}, {4: 1}, {0: 1}, nil}
+	c, err := NewClassifier(sparse.FreezeNormalized(5, norm), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := norm.Clone()
+	ref := norm
 	for k := 0; k < 3; k++ {
 		for i := 0; i < 5; i++ {
 			for j := 0; j < 5; j++ {
-				if got, want := c.powers[k].Get(i, j), ref.Get(i, j); got != want {
+				if got, want := c.powers[k].Get(i, j), ref[i][j]; got != want {
 					t.Fatalf("power %d entry (%d,%d) = %v, want %v", k+1, i, j, got, want)
 				}
 			}
 		}
-		var err error
-		ref, err = ref.Mul(norm)
-		if err != nil {
-			t.Fatal(err)
+		next := make([]map[int]float64, len(ref))
+		for i, row := range ref {
+			next[i] = make(map[int]float64)
+			for mid, w := range row {
+				for j, v := range norm[mid] {
+					next[i][j] += w * v
+				}
+			}
 		}
+		ref = next
 	}
 }
 

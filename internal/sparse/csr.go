@@ -1,3 +1,8 @@
+// Package sparse implements the sparse row-oriented matrix behind the
+// paper's trust algebra: row normalisation (Eq. 3, 5, 6), weighted
+// integration TM = α·FM + β·DM + γ·UM (Eq. 7), and the multi-trust power
+// RM = TM^n (Eq. 8), evaluated either as full sparse matrix products or as
+// repeated row-vector products for single-peer queries.
 package sparse
 
 import (
@@ -5,25 +10,24 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // CSR is an immutable n×n sparse matrix in compressed-sparse-row form:
 // row i's entries live at positions [rowPtr[i], rowPtr[i+1]) of the
-// parallel cols/vals arrays, with columns in ascending order. The
-// map-backed Matrix is the mutable builder; freezing it into a CSR gives
-// the trust algebra a compact, cache-friendly, safely shareable form —
-// readers may use a CSR concurrently without synchronisation, which is
-// what core.Sharded's lock-free read path relies on.
+// parallel cols/vals arrays, with columns in ascending order. Matrices
+// are square because trust matrices relate peers to peers. Readers may
+// use a CSR concurrently without synchronisation, which is what
+// core.Sharded's lock-free read path relies on.
 //
-// All CSR kernels are bit-identical to their Matrix counterparts: per
-// output entry, floating-point contributions accumulate in the same
-// ascending-index order the map implementation uses (via sortedCols), and
-// the row-block worker pool assigns each output row to exactly one
-// worker, so results do not depend on GOMAXPROCS or scheduling. Journal
-// replay (internal/journal) depends on this: a recovered engine must
-// rebuild bit-identical matrices.
+// Every kernel fixes its floating-point order: each output entry
+// accumulates its contributions in ascending inner-index order, and the
+// row-block worker pool assigns each output row to exactly one worker,
+// so results do not depend on GOMAXPROCS, scheduling or map iteration.
+// Journal replay (internal/journal) depends on this: a recovered engine
+// must rebuild bit-identical matrices.
 type CSR struct {
 	n      int
 	rowPtr []int32
@@ -31,21 +35,24 @@ type CSR struct {
 	vals   []float64
 }
 
-// Freeze converts the builder matrix into its immutable CSR form. The
-// builder is unchanged.
-func (m *Matrix) Freeze() *CSR {
-	c := &CSR{n: m.n, rowPtr: make([]int32, m.n+1)}
-	nnz := m.NNZ()
-	c.cols = make([]int32, 0, nnz)
-	c.vals = make([]float64, 0, nnz)
-	for i, row := range m.rows {
-		for _, j := range sortedCols(row) {
-			c.cols = append(c.cols, int32(j))
-			c.vals = append(c.vals, row[j])
-		}
-		c.rowPtr[i+1] = int32(len(c.cols))
+// Entry is one stored matrix element.
+type Entry struct {
+	Row int     `json:"row"`
+	Col int     `json:"col"`
+	Val float64 `json:"val"`
+}
+
+// sortedCols returns a row's column indices in ascending order, the
+// order in which the trust algebra accumulates a map row's
+// floating-point sums, so results do not depend on Go's randomised map
+// iteration.
+func sortedCols(row map[int]float64) []int {
+	cols := make([]int, 0, len(row))
+	for j := range row {
+		cols = append(cols, j)
 	}
-	return c
+	sort.Ints(cols)
+	return cols
 }
 
 // Row is one frozen matrix row: ascending columns and their values.
@@ -75,10 +82,10 @@ func NormalizeRow(cols []int32, vals []float64) Row {
 	return Row{Cols: cols, Vals: vals}
 }
 
-// FreezeNormalized freezes raw rows directly into a row-normalised CSR,
-// each row through NormalizeRow (the same arithmetic as
-// Matrix.RowNormalize). rows may be shorter than n; missing and nil rows
-// freeze to empty rows.
+// FreezeNormalized freezes raw map rows into a row-normalised CSR: each
+// row's columns are sorted ascending and the row goes through
+// NormalizeRow. rows may be shorter than n; missing and nil rows freeze
+// to empty rows. Every column must lie in [0, n).
 func FreezeNormalized(n int, rows []map[int]float64) *CSR {
 	ko := kobs.Load()
 	defer ko.spanFreeze().End()
@@ -145,16 +152,6 @@ func (c *CSR) RowCopy(i int) ([]int32, []float64) {
 	return outCols, outVals
 }
 
-// RowMap returns row i as a freshly allocated map the caller may mutate.
-func (c *CSR) RowMap(i int) map[int]float64 {
-	cols, vals := c.Row(i)
-	out := make(map[int]float64, len(cols))
-	for k, j := range cols {
-		out[int(j)] = vals[k]
-	}
-	return out
-}
-
 // Get returns entry (i, j) by binary search; out-of-range indices read as
 // zero.
 //
@@ -190,19 +187,6 @@ func (c *CSR) RowSum(i int) float64 {
 	return sum
 }
 
-// RowNormalize returns a new CSR with each row through NormalizeRow:
-// divided by its sum, or cleared when the sum is zero or less, as in
-// Matrix.RowNormalize.
-func (c *CSR) RowNormalize() *CSR {
-	rows := make([]Row, c.n)
-	parallelRowBlocks(c.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rows[i] = NormalizeRow(c.RowCopy(i))
-		}
-	})
-	return assemble(rows)
-}
-
 // Weighted is one term of a weighted row sum: Scale times the matrix
 // whose row i is Rows[i].
 type Weighted struct {
@@ -217,10 +201,9 @@ type Weighted struct {
 // every row. The result is a new CSR, so a reader holding prev is
 // unaffected. Per entry, contributions accumulate from zero in term
 // order, terms with a zero scale are skipped entirely (absent evidence
-// contributes nothing, as in Matrix.AddScaled), and entries whose final
-// value is exactly zero are dropped, matching the map path's
-// zero-removing Set. Every output row is computed by one worker, so the
-// bytes do not depend on GOMAXPROCS.
+// contributes nothing), and entries whose final value is exactly zero
+// are dropped. Every output row is computed by one worker, so the bytes
+// do not depend on GOMAXPROCS.
 func WeightedSum(prev *CSR, n int, dirty []int, terms []Weighted) (*CSR, error) {
 	if prev != nil && prev.n != n {
 		return nil, fmt.Errorf("sparse: dimension mismatch %d vs %d", n, prev.n)
@@ -338,10 +321,9 @@ func splice(prev *CSR, n int, dirty []int, rows []Row) *CSR {
 
 // Mul returns c · other as a new CSR. Output rows are computed
 // independently across the worker pool; for each output entry the
-// contributions accumulate in ascending k (inner index) order, exactly as
-// Matrix.Mul does, so the product is bit-identical to the map path and
-// independent of worker scheduling. Entries whose accumulated value is
-// exactly zero are kept, as in Matrix.Mul.
+// contributions accumulate in ascending k (inner index) order, so the
+// product does not depend on worker scheduling. Entries whose
+// accumulated value is exactly zero are kept.
 func (c *CSR) Mul(other *CSR) (*CSR, error) {
 	if other == nil {
 		return nil, errors.New("sparse: Mul with nil matrix")
@@ -376,9 +358,11 @@ func (c *CSR) Mul(other *CSR) (*CSR, error) {
 	return assemble(out), nil
 }
 
-// Pow returns c^k for k >= 1 by the same square-and-multiply sequence as
-// Matrix.Pow, so the two paths perform the identical Mul chain. k == 1
-// returns the receiver (CSRs are immutable).
+// Pow returns c^k for k >= 1 by square-and-multiply: the running
+// result, initially c, is multiplied by c^(2^b) for each set bit b of
+// k−1, lowest bit first. The Mul chain is fixed by k alone, so a power's
+// bits depend only on c and k. k == 1 returns the receiver (CSRs are
+// immutable).
 func (c *CSR) Pow(k int) (*CSR, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("sparse: Pow needs k >= 1, got %d", k)
@@ -413,9 +397,9 @@ func (c *CSR) Pow(k int) (*CSR, error) {
 }
 
 // RowVecPow returns eᵢᵀ · c^k: row i of the k-th power computed with k
-// sparse row-vector products, as Matrix.RowVecPow. Contributions to each
-// output entry accumulate in ascending intermediate-index order, so the
-// result is bit-identical to the map path.
+// sparse row-vector products, without materialising c^k. Contributions
+// to each output entry accumulate in ascending intermediate-index order,
+// and intermediate entries that are exactly zero contribute nothing.
 func (c *CSR) RowVecPow(i, k int) (map[int]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("sparse: RowVecPow needs k >= 1, got %d", k)
@@ -456,25 +440,6 @@ func (c *CSR) RowVecPow(i, k int) (map[int]float64, error) {
 	return out, nil
 }
 
-// MulVec returns c · x (treating x as a column vector).
-func (c *CSR) MulVec(x []float64) ([]float64, error) {
-	if len(x) != c.n {
-		return nil, fmt.Errorf("sparse: vector length %d, want %d", len(x), c.n)
-	}
-	y := make([]float64, c.n)
-	parallelRowBlocks(c.n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cols, vals := c.Row(i)
-			sum := 0.0
-			for k, j := range cols {
-				sum += vals[k] * x[j]
-			}
-			y[i] = sum
-		}
-	})
-	return y, nil
-}
-
 // MaxRowSumDelta returns the largest |rowSum - 1| over non-empty rows.
 func (c *CSR) MaxRowSumDelta() float64 {
 	max := 0.0
@@ -500,36 +465,6 @@ func (c *CSR) Entries() []Entry {
 		cols, vals := c.Row(i)
 		for k, j := range cols {
 			out = append(out, Entry{Row: i, Col: int(j), Val: vals[k]})
-		}
-	}
-	return out
-}
-
-// Thaw returns a mutable map-backed copy of the matrix.
-func (c *CSR) Thaw() *Matrix {
-	m := New(c.n)
-	for i := 0; i < c.n; i++ {
-		cols, vals := c.Row(i)
-		if len(cols) == 0 {
-			continue
-		}
-		row := make(map[int]float64, len(cols))
-		for k, j := range cols {
-			row[int(j)] = vals[k]
-		}
-		m.rows[i] = row
-	}
-	return m
-}
-
-// Dense returns the matrix as a dense [][]float64; intended for tests.
-func (c *CSR) Dense() [][]float64 {
-	out := make([][]float64, c.n)
-	for i := range out {
-		out[i] = make([]float64, c.n)
-		cols, vals := c.Row(i)
-		for k, j := range cols {
-			out[i][j] = vals[k]
 		}
 	}
 	return out
@@ -644,8 +579,7 @@ func (s *rowScratch) add(j int32, v float64) {
 }
 
 // collect returns the touched entries in ascending column order as fresh
-// slices. Entries whose accumulated value is exactly zero are kept, as
-// the map path's Mul keeps them.
+// slices. Entries whose accumulated value is exactly zero are kept.
 //
 //mdrep:hotpath
 func (s *rowScratch) collect() Row {

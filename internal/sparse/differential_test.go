@@ -8,21 +8,160 @@ import (
 	"testing"
 )
 
-// The CSR kernels promise bit-identical results to the map-backed
-// reference implementation — not approximately equal: journal replay
-// (internal/journal) rebuilds matrices through whichever path the engine
-// uses and must reproduce the pre-crash state exactly. These tests build
-// random matrices and compare entry-for-entry with ==.
+// The CSR kernels fix their floating-point order, and journal replay
+// (internal/journal) depends on it: a recovered engine must reproduce
+// the pre-crash matrices exactly. These tests compare each kernel with
+// ==, entry for entry, against mapMatrix, an oracle written the textbook
+// way over map rows that shares no arithmetic with csr.go.
 
-// randomMatrix builds an n×n matrix with ~fill entries per row.
-func randomMatrix(rng *rand.Rand, n, fill int) *Matrix {
-	m := New(n)
-	for i := 0; i < n; i++ {
+// mapMatrix is the oracle: an n×n matrix held as one map per row. Each
+// kernel sums in ascending inner-index order, the order the CSR kernels
+// promise.
+type mapMatrix []map[int]float64
+
+// randomMap builds an n×n oracle matrix with about fill entries per row.
+func randomMap(rng *rand.Rand, n, fill int) mapMatrix {
+	m := make(mapMatrix, n)
+	for i := range m {
+		m[i] = make(map[int]float64, fill)
 		for k := 0; k < fill; k++ {
-			m.Set(i, rng.Intn(n), rng.Float64())
+			m[i][rng.Intn(n)] = rng.Float64()
 		}
 	}
 	return m
+}
+
+// ascending returns a row's columns in ascending order.
+func ascending(row map[int]float64) []int {
+	cols := make([]int, 0, len(row))
+	for j := range row {
+		cols = append(cols, j)
+	}
+	sort.Ints(cols)
+	return cols
+}
+
+// freeze returns m as a CSR, unnormalised.
+func (m mapMatrix) freeze() *CSR {
+	rows := make([]Row, len(m))
+	for i, row := range m {
+		for _, j := range ascending(row) {
+			rows[i].Cols = append(rows[i].Cols, int32(j))
+			rows[i].Vals = append(rows[i].Vals, row[j])
+		}
+	}
+	return assemble(rows)
+}
+
+// entries lists m's stored entries sorted by (row, col).
+func (m mapMatrix) entries() []Entry {
+	var out []Entry
+	for i, row := range m {
+		for _, j := range ascending(row) {
+			out = append(out, Entry{Row: i, Col: j, Val: row[j]})
+		}
+	}
+	return out
+}
+
+// normalized divides each row by its sum, summed in ascending column
+// order; a row whose sum is not positive comes back empty.
+func (m mapMatrix) normalized() mapMatrix {
+	out := make(mapMatrix, len(m))
+	for i, row := range m {
+		sum := 0.0
+		for _, j := range ascending(row) {
+			sum += row[j]
+		}
+		if sum <= 0 {
+			continue
+		}
+		out[i] = make(map[int]float64, len(row))
+		for j, v := range row {
+			out[i][j] = v / sum
+		}
+	}
+	return out
+}
+
+// mul returns m·o. Each output entry sums over ascending inner index;
+// entries that sum to exactly zero are kept.
+func (m mapMatrix) mul(o mapMatrix) mapMatrix {
+	out := make(mapMatrix, len(m))
+	for i, row := range m {
+		acc := make(map[int]float64)
+		for _, k := range ascending(row) {
+			for j, v := range o[k] {
+				acc[j] += row[k] * v
+			}
+		}
+		out[i] = acc
+	}
+	return out
+}
+
+// pow returns m^k by square-and-multiply: the running result, initially
+// m, times m^(2^b) for each set bit b of k−1, lowest bit first.
+func (m mapMatrix) pow(k int) mapMatrix {
+	result, sq := m, m
+	for e := k - 1; e > 0; e >>= 1 {
+		if e&1 == 1 {
+			result = result.mul(sq)
+		}
+		if e > 1 {
+			sq = sq.mul(sq)
+		}
+	}
+	return result
+}
+
+// rowVecPow returns row i of m^k by k−1 row-vector products, skipping
+// intermediate entries that are exactly zero.
+func (m mapMatrix) rowVecPow(i, k int) map[int]float64 {
+	cur := make(map[int]float64, len(m[i]))
+	for j, v := range m[i] {
+		cur[j] = v
+	}
+	for step := 1; step < k; step++ {
+		next := make(map[int]float64, len(cur))
+		for _, mid := range ascending(cur) {
+			if w := cur[mid]; w != 0 {
+				for j, v := range m[mid] {
+					next[j] += w * v
+				}
+			}
+		}
+		cur = next
+	}
+	return cur
+}
+
+// addScaled returns Σ scales[t]·terms[t]: each entry accumulates from
+// zero in term order, terms with a zero scale are skipped, and entries
+// that end at exactly zero are dropped.
+func addScaled(scales []float64, terms ...mapMatrix) mapMatrix {
+	out := make(mapMatrix, len(terms[0]))
+	for t, m := range terms {
+		if scales[t] == 0 {
+			continue
+		}
+		for i, row := range m {
+			if out[i] == nil {
+				out[i] = make(map[int]float64)
+			}
+			for j, v := range row {
+				out[i][j] += scales[t] * v
+			}
+		}
+	}
+	for _, row := range out {
+		for j, v := range row {
+			if v == 0 {
+				delete(row, j)
+			}
+		}
+	}
+	return out
 }
 
 // mustEqualEntries fails unless the two entry lists are identical,
@@ -39,20 +178,32 @@ func mustEqualEntries(t *testing.T, label string, want, got []Entry) {
 	}
 }
 
+// TestFreezeRoundTrip checks the CSR accessors against the map rows a
+// matrix was frozen from: Entries, NNZ, RowNNZ, RowSum and every Get.
 func TestFreezeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(40)
-		m := randomMatrix(rng, n, 1+rng.Intn(8))
-		c := m.Freeze()
-		mustEqualEntries(t, "freeze", m.Entries(), c.Entries())
-		mustEqualEntries(t, "thaw", m.Entries(), c.Thaw().Entries())
-		if c.NNZ() != m.NNZ() {
-			t.Fatalf("NNZ %d, want %d", c.NNZ(), m.NNZ())
+		m := randomMap(rng, n, 1+rng.Intn(8))
+		c := m.freeze()
+		want := m.entries()
+		mustEqualEntries(t, "freeze", want, c.Entries())
+		if c.NNZ() != len(want) {
+			t.Fatalf("NNZ %d, want %d", c.NNZ(), len(want))
 		}
-		for i := -1; i <= n; i++ {
-			for j := -1; j <= n; j++ {
-				if got, want := c.Get(i, j), m.Get(i, j); got != want {
+		for i, row := range m {
+			if c.RowNNZ(i) != len(row) {
+				t.Fatalf("RowNNZ(%d) = %d, want %d", i, c.RowNNZ(i), len(row))
+			}
+			sum := 0.0
+			for _, j := range ascending(row) {
+				sum += row[j]
+			}
+			if c.RowSum(i) != sum {
+				t.Fatalf("RowSum(%d) = %v, want %v", i, c.RowSum(i), sum)
+			}
+			for j := 0; j < n; j++ {
+				if got, want := c.Get(i, j), row[j]; got != want {
 					t.Fatalf("Get(%d,%d) = %v, want %v", i, j, got, want)
 				}
 			}
@@ -60,34 +211,17 @@ func TestFreezeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCSRRowNormalizeMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(50)
-		m := randomMatrix(rng, n, 1+rng.Intn(6))
-		// Mix in rows that normalise away: all-negative sums must clear.
-		if n > 2 {
-			m.Set(0, 1, -1)
-			m.Set(0, 2, -2)
-		}
-		fromCSR := m.Freeze().RowNormalize()
-		ref := m.Clone().RowNormalize()
-		mustEqualEntries(t, "RowNormalize", ref.Entries(), fromCSR.Entries())
-	}
-}
-
 func TestFreezeNormalizedMatchesMapNormalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(50)
-		m := randomMatrix(rng, n, 1+rng.Intn(6))
-		rows := make([]map[int]float64, n)
-		for i := 0; i < n; i++ {
-			rows[i] = m.RowCopy(i)
+		m := randomMap(rng, n, 1+rng.Intn(6))
+		// Mix in a row that normalises away: a negative sum must clear.
+		if n > 2 {
+			m[0][1], m[0][2] = -1, -2
 		}
-		got := FreezeNormalized(n, rows)
-		ref := m.Clone().RowNormalize()
-		mustEqualEntries(t, "FreezeNormalized", ref.Entries(), got.Entries())
+		got := FreezeNormalized(n, m)
+		mustEqualEntries(t, "FreezeNormalized", m.normalized().entries(), got.Entries())
 	}
 }
 
@@ -95,28 +229,22 @@ func TestWeightedSumMatchesAddScaled(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(40)
-		a := randomMatrix(rng, n, 2).RowNormalize()
-		b := randomMatrix(rng, n, 2).RowNormalize()
-		c := randomMatrix(rng, n, 2).RowNormalize()
-		weights := [3]float64{rng.Float64(), rng.Float64(), 0.2}
+		a := randomMap(rng, n, 2).normalized()
+		b := randomMap(rng, n, 2).normalized()
+		c := randomMap(rng, n, 2).normalized()
+		weights := []float64{rng.Float64(), rng.Float64(), 0.2}
 		if trial%3 == 0 {
 			weights[1] = 0 // zero-weight terms must be skipped entirely
 		}
-		ref := New(n)
-		for k, m := range []*Matrix{a, b, c} {
-			if err := ref.AddScaled(weights[k], m); err != nil {
-				t.Fatal(err)
-			}
-		}
 		got, err := WeightedSum(nil, n, allRows(n), []Weighted{
-			{weights[0], rowsOf(a.Freeze())},
-			{weights[1], rowsOf(b.Freeze())},
-			{weights[2], rowsOf(c.Freeze())},
+			{weights[0], rowsOf(a.freeze())},
+			{weights[1], rowsOf(b.freeze())},
+			{weights[2], rowsOf(c.freeze())},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustEqualEntries(t, "WeightedSum", ref.Entries(), got.Entries())
+		mustEqualEntries(t, "WeightedSum", addScaled(weights, a, b, c).entries(), got.Entries())
 	}
 }
 
@@ -130,14 +258,14 @@ func TestWeightedSumPatchMatchesFull(t *testing.T) {
 	const n = 700
 	terms := make([]Weighted, 3)
 	for k := range terms {
-		terms[k] = Weighted{Scale: 0.25 * float64(k+1), Rows: rowsOf(randomMatrix(rng, n, 3).RowNormalize().Freeze())}
+		terms[k] = Weighted{Scale: 0.25 * float64(k+1), Rows: rowsOf(FreezeNormalized(n, randomMap(rng, n, 3)))}
 	}
 	prev, err := WeightedSum(nil, n, allRows(n), terms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 6; step++ {
-		fresh := rowsOf(randomMatrix(rng, n, 1+step).RowNormalize().Freeze())
+		fresh := rowsOf(FreezeNormalized(n, randomMap(rng, n, 1+step)))
 		seen := make(map[int]bool)
 		var dirty []int
 		for len(dirty) < 50*step {
@@ -206,17 +334,13 @@ func TestCSRMulMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(60)
-		a := randomMatrix(rng, n, 1+rng.Intn(5))
-		b := randomMatrix(rng, n, 1+rng.Intn(5))
-		ref, err := a.Mul(b)
+		a := randomMap(rng, n, 1+rng.Intn(5))
+		b := randomMap(rng, n, 1+rng.Intn(5))
+		got, err := a.freeze().Mul(b.freeze())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.Freeze().Mul(b.Freeze())
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualEntries(t, "Mul", ref.Entries(), got.Entries())
+		mustEqualEntries(t, "Mul", a.mul(b).entries(), got.Entries())
 	}
 }
 
@@ -224,18 +348,14 @@ func TestCSRPowMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 8; trial++ {
 		n := 2 + rng.Intn(30)
-		m := randomMatrix(rng, n, 1+rng.Intn(4)).RowNormalize()
-		c := m.Freeze()
+		m := randomMap(rng, n, 1+rng.Intn(4)).normalized()
+		c := m.freeze()
 		for k := 1; k <= 6; k++ {
-			ref, err := m.Pow(k)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := c.Pow(k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustEqualEntries(t, "Pow", ref.Entries(), got.Entries())
+			mustEqualEntries(t, "Pow", m.pow(k).entries(), got.Entries())
 		}
 	}
 }
@@ -244,14 +364,11 @@ func TestCSRRowVecPowMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
 		n := 2 + rng.Intn(30)
-		m := randomMatrix(rng, n, 1+rng.Intn(4)).RowNormalize()
-		c := m.Freeze()
+		m := randomMap(rng, n, 1+rng.Intn(4)).normalized()
+		c := m.freeze()
 		for k := 1; k <= 4; k++ {
 			for i := 0; i < n; i += 1 + n/7 {
-				ref, err := m.RowVecPow(i, k)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref := m.rowVecPow(i, k)
 				got, err := c.RowVecPow(i, k)
 				if err != nil {
 					t.Fatal(err)
@@ -271,70 +388,24 @@ func TestCSRRowVecPowMatchesMap(t *testing.T) {
 
 // TestCSRMulLargeParallel forces the worker pool past the inline-run
 // threshold so the parallel path itself is exercised against the
-// sequential reference.
+// sequential oracle.
 func TestCSRMulLargeParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	n := 700 // > rowBlock, several blocks per worker
-	a := randomMatrix(rng, n, 6)
-	b := randomMatrix(rng, n, 6)
-	ref, err := a.Mul(b)
+	a := randomMap(rng, n, 6)
+	b := randomMap(rng, n, 6)
+	got, err := a.freeze().Mul(b.freeze())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Freeze().Mul(b.Freeze())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualEntries(t, "parallel Mul", ref.Entries(), got.Entries())
+	mustEqualEntries(t, "parallel Mul", a.mul(b).entries(), got.Entries())
 }
 
-func TestCSRMulVecMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 40
-	m := randomMatrix(rng, n, 4)
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	ref, err := m.MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Freeze().MulVec(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Matrix.MulVec accumulates in map-iteration order, so it is only
-	// reproducible up to rounding; the CSR path (ascending columns) is the
-	// deterministic one. Compare within float tolerance.
-	for i := range ref {
-		if d := ref[i] - got[i]; d > 1e-12 || d < -1e-12 {
-			t.Fatalf("MulVec[%d] = %v, want %v", i, got[i], ref[i])
-		}
-	}
-}
-
+// TestCSRErrors covers WeightedSum's argument checks; TestMulErrors,
+// TestPowRejectsBadExponent and TestRowVecPowErrors cover the others.
 func TestCSRErrors(t *testing.T) {
-	c := New(2).Freeze()
-	other := New(3).Freeze()
-	if _, err := c.Mul(other); err == nil {
-		t.Fatal("dimension mismatch accepted")
-	}
-	if _, err := c.Mul(nil); err == nil {
-		t.Fatal("nil operand accepted")
-	}
-	if _, err := c.Pow(0); err == nil {
-		t.Fatal("Pow(0) accepted")
-	}
-	if _, err := c.RowVecPow(0, 0); err == nil {
-		t.Fatal("RowVecPow k=0 accepted")
-	}
-	if _, err := c.RowVecPow(5, 1); err == nil {
-		t.Fatal("RowVecPow out-of-range row accepted")
-	}
-	if _, err := c.MulVec(make([]float64, 3)); err == nil {
-		t.Fatal("MulVec length mismatch accepted")
-	}
+	c := FreezeNormalized(2, nil)
+	other := FreezeNormalized(3, nil)
 	if _, err := WeightedSum(nil, 2, allRows(2), []Weighted{{1, rowsOf(other)}}); err == nil {
 		t.Fatal("WeightedSum dimension mismatch accepted")
 	}
@@ -348,23 +419,5 @@ func TestCSRErrors(t *testing.T) {
 		if _, err := WeightedSum(c, 2, dirty, []Weighted{{1, rowsOf(c)}}); err == nil {
 			t.Fatalf("WeightedSum dirty rows %v accepted", dirty)
 		}
-	}
-}
-
-func TestMatrixForEachRow(t *testing.T) {
-	m := New(3)
-	m.Set(1, 2, 0.5)
-	m.Set(1, 0, 0.25)
-	var cols []int
-	var vals []float64
-	m.ForEachRow(1, func(j int, v float64) {
-		cols = append(cols, j)
-		vals = append(vals, v)
-	})
-	if len(cols) != 2 || cols[0] != 0 || cols[1] != 2 || vals[0] != 0.25 || vals[1] != 0.5 {
-		t.Fatalf("ForEachRow order/values wrong: %v %v", cols, vals)
-	}
-	if m.RowNNZ(1) != 2 || m.RowNNZ(0) != 0 {
-		t.Fatal("RowNNZ wrong")
 	}
 }
