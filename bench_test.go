@@ -606,6 +606,66 @@ func BenchmarkPeerSync(b *testing.B) {
 	}
 }
 
+// BenchmarkPeerTrustRow measures the daemon's one-step trust row
+// (Eqs. 2–7) in judge-tcp's shape: a judge that votes on 256 files has
+// synced 32 owners of 48 evaluations each, and holds a download ledger
+// and ratings for some of them. judge-tcp computes this row once per
+// JudgeFile.
+func BenchmarkPeerTrustRow(b *testing.B) {
+	const owners, files, perOwner = 32, 256, 48
+	dir := identity.NewDirectory()
+	ex := peer.NewExchange()
+	var peers []*peer.Peer
+	for seed := uint64(1); seed <= owners+1; seed++ {
+		id, err := identity.Generate(identity.NewDeterministicReader(seed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dir.Register(id.PublicKey()); err != nil {
+			b.Fatal(err)
+		}
+		p, err := peer.New(id, dir, ex, peer.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ex.Register(p)
+		peers = append(peers, p)
+	}
+	judge := peers[0]
+	file := func(f int) eval.FileID { return eval.FileID(fmt.Sprintf("file-%03d", f)) }
+	for f := 0; f < files; f++ {
+		judge.Vote(file(f), float64(f*37%101)/100)
+	}
+	for o, p := range peers[1:] {
+		for k := 0; k < perOwner; k++ {
+			f := (o*7 + k*5) % files
+			p.Vote(file(f), float64((o*13+f*29)%103)/102)
+		}
+		if _, err := judge.SyncPeer(p.ID()); err != nil {
+			b.Fatal(err)
+		}
+		if o%2 == 0 {
+			for k := 0; k < 4; k++ {
+				if err := judge.RecordDownload(p.ID(), file((o*11+k*3)%(files+16)), int64(1+o*k)<<16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if o%3 == 0 {
+			if err := judge.RateUser(p.ID(), float64(o%10)/9); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if row := judge.TrustRow(); len(row) != owners {
+			b.Fatalf("trust row has %d entries, want %d", len(row), owners)
+		}
+	}
+}
+
 // --- Journal ---------------------------------------------------------------
 
 // journalWorkload returns a deterministic stream of valid engine events

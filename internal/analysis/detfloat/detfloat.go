@@ -31,10 +31,12 @@ import (
 
 // Packages is the set of packages whose float arithmetic must not depend
 // on map iteration order: the replay-deterministic core pipeline (core,
-// sparse, journal, wire, eval) plus the packages whose figures and
-// verdicts must reproduce run to run (experiments, chaos, massim, blue,
-// walk).
-var Packages = []string{"core", "sparse", "journal", "wire", "eval", "experiments", "chaos", "massim", "blue", "walk"}
+// sparse, journal, wire, eval), the peer daemon and its examiner (peer,
+// security), whose R_f must equal the engine's bit for bit, and the
+// packages whose figures and verdicts must reproduce run to run
+// (experiments, chaos, massim, blue, walk, p2psim and the eigentrust,
+// multitier and titfortat baselines).
+var Packages = []string{"core", "sparse", "journal", "wire", "eval", "peer", "security", "experiments", "chaos", "massim", "blue", "walk", "p2psim", "eigentrust", "multitier", "titfortat"}
 
 // name is the analyzer name, also the token accepted by //mdrep:allow.
 const name = "detfloat"

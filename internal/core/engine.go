@@ -34,7 +34,7 @@ type Engine struct {
 	// downloads[i][j] accumulates the files peer i fetched from peer j
 	// (Eq. 4 input). Repeated downloads of the same file count once per
 	// occurrence, as in the Maze log.
-	downloads []map[int][]downloadEntry
+	downloads []map[int][]Download
 	// userTrust[i][j] is UT_ij (Eq. 6 input).
 	userTrust []map[int]float64
 	// blacklist[i][j] forces UT_ij to zero regardless of later ratings.
@@ -46,9 +46,30 @@ type Engine struct {
 	evaluators *evalIndex
 }
 
-type downloadEntry struct {
-	file eval.FileID
-	size int64
+// Download is one entry of a download ledger: a file a peer fetched
+// from one uploader, and its size in bytes. The engine, the peer daemon
+// and their snapshots keep each ledger as a slice of these in event
+// order.
+type Download struct {
+	File eval.FileID `json:"file"`
+	Size int64       `json:"size"`
+}
+
+// DownloadVolume is VD_ij of Eq. (4) over ledger, the files peer i
+// fetched from peer j: Σ_k E_ik·S_k, summed in ledger order, where E_ik
+// is i's live evaluation of file k in store at now, and floor stands in
+// for a file i has not evaluated. The engine's DM rows and the peer
+// daemon's trust row both compute VD here.
+func DownloadVolume(ledger []Download, store *eval.Store, now time.Duration, floor float64) float64 {
+	vd := 0.0
+	for _, d := range ledger {
+		ev, ok := store.Get(d.File, now)
+		if !ok {
+			ev = floor
+		}
+		vd += ev * float64(d.Size)
+	}
+	return vd
 }
 
 // NewEngine builds an engine for n peers.
@@ -63,7 +84,7 @@ func NewEngine(n int, cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		n:          n,
 		stores:     make([]*eval.Store, n),
-		downloads:  make([]map[int][]downloadEntry, n),
+		downloads:  make([]map[int][]Download, n),
 		userTrust:  make([]map[int]float64, n),
 		blacklist:  make([]map[int]struct{}, n),
 		evaluators: newEvalIndex(),
@@ -222,24 +243,15 @@ func (e *Engine) fmRow(i int, now time.Duration, memo map[eval.FileID]*fileEvalu
 }
 
 // dmRow computes row i of DM (Eqs. 4–5) as a frozen, normalised row:
-// VD_ij = Σ_{k ∈ D_ij} E_ik·S_k, with unevaluated files contributing the
-// retention floor. Entries accumulate in ledger (event) order per
-// uploader, as in the reference rebuild.
+// VD_ij of DownloadVolume, kept where positive, then divided by the row
+// sum.
 func (e *Engine) dmRow(i int, now time.Duration) sparse.Row {
 	per := e.downloads[i]
 	cols := sortedKeys(per)
 	vals := make([]float64, 0, len(cols))
 	kept := cols[:0]
 	for _, j := range cols {
-		vd := 0.0
-		for _, d := range per[int(j)] {
-			ev, ok := e.stores[i].Get(d.file, now)
-			if !ok {
-				ev = e.cfg.Retention.Floor
-			}
-			vd += ev * float64(d.size)
-		}
-		if vd > 0 {
+		if vd := DownloadVolume(per[int(j)], e.stores[i], now, e.cfg.Retention.Floor); vd > 0 {
 			kept = append(kept, j)
 			vals = append(vals, vd)
 		}
@@ -295,6 +307,20 @@ func (e *Engine) integrate(prev *sparse.CSR, dirty []int, dims [3][]sparse.Row) 
 		{Scale: e.cfg.Alpha, Rows: dims[dimFM]},
 		{Scale: e.cfg.Beta, Rows: dims[dimDM]},
 		{Scale: e.cfg.Gamma, Rows: dims[dimUM]},
+	})
+}
+
+// TrustRow is one row of TM (Eq. 7) from the raw rows of its three
+// dimensions: FT, VD and UT over ascending columns, positive values
+// only. It normalises each by Eqs. (3), (5) and (6), dividing the raw
+// values in place, and integrates them with the per-row kernel of
+// integrate, so a row built here has the bits of the same row of TM.
+// The peer daemon computes its trust row through it.
+func (c Config) TrustRow(ft, vd, ut sparse.Row) sparse.Row {
+	return sparse.WeightedRow([]float64{c.Alpha, c.Beta, c.Gamma}, []sparse.Row{
+		sparse.NormalizeRow(ft.Cols, ft.Vals),
+		sparse.NormalizeRow(vd.Cols, vd.Vals),
+		sparse.NormalizeRow(ut.Cols, ut.Vals),
 	})
 }
 

@@ -176,10 +176,10 @@ func (e *Engine) applyTo(ev Event, mark markFunc) error {
 	case EventDownload:
 		m := e.downloads[ev.I]
 		if m == nil {
-			m = make(map[int][]downloadEntry)
+			m = make(map[int][]Download)
 			e.downloads[ev.I] = m
 		}
-		m[ev.J] = append(m[ev.J], downloadEntry{file: ev.File, size: ev.Size})
+		m[ev.J] = append(m[ev.J], Download{File: ev.File, Size: ev.Size})
 		mark(dimDM, ev.I)
 	case EventRateUser:
 		if bl := e.blacklist[ev.I]; bl != nil {

@@ -31,22 +31,64 @@ var ErrNoReputation = errors.New("core: no reputation path to any evaluator")
 // reps is row i of RM (from Reputations). Evaluators with zero reputation
 // contribute nothing, so a clique of unknown peers cannot sway the score.
 func FileReputation(reps map[int]float64, owners []OwnerEvaluation) (float64, error) {
-	var num, den float64
-	for _, oe := range owners {
-		if oe.Value < 0 || oe.Value > 1 {
-			return 0, fmt.Errorf("core: owner %d evaluation %v outside [0,1]", oe.Owner, oe.Value)
-		}
-		r := reps[oe.Owner]
-		if r <= 0 {
-			continue
-		}
-		num += r * oe.Value
-		den += r
+	ev, err := ownerEvidence(reps, owners)
+	if err != nil {
+		return 0, err
 	}
-	if den <= 0 {
+	rf, ok := ev.reputation()
+	if !ok {
 		return 0, ErrNoReputation
 	}
-	return num / den, nil
+	return rf, nil
+}
+
+// ownerEvidence accumulates Eq. (9) over owners in order, rejecting an
+// evaluation outside [0,1].
+func ownerEvidence(reps map[int]float64, owners []OwnerEvaluation) (FileEvidence, error) {
+	var ev FileEvidence
+	for _, oe := range owners {
+		if oe.Value < 0 || oe.Value > 1 {
+			return FileEvidence{}, fmt.Errorf("core: owner %d evaluation %v outside [0,1]", oe.Owner, oe.Value)
+		}
+		ev.Add(reps[oe.Owner], oe.Value)
+	}
+	return ev, nil
+}
+
+// FileEvidence accumulates the two sums of Eq. (9) for one file, Σ r·e
+// and Σ r, in the order evaluations are added. The engine and the peer
+// daemon both judge files through it.
+type FileEvidence struct {
+	num, den float64
+}
+
+// Add counts evaluation e weighted by the evaluator's reputation r.
+// An evaluator with r <= 0 contributes nothing.
+func (a *FileEvidence) Add(r, e float64) {
+	if r <= 0 {
+		return
+	}
+	a.num += r * e
+	a.den += r
+}
+
+// reputation returns R_f = Σ r·e / Σ r, and false when no evaluator
+// with positive reputation was added.
+func (a FileEvidence) reputation() (float64, bool) {
+	if a.den <= 0 {
+		return 0, false
+	}
+	return a.num / a.den, true
+}
+
+// Judge is the §3.3 verdict on a file's evidence: Unknown without any
+// reputation-weighted evidence, Fake when R_f is below FakeThreshold.
+func (c Config) Judge(a FileEvidence) Judgement {
+	rf, ok := a.reputation()
+	if !ok {
+		return Judgement{}
+	}
+	return Judgement{Reputation: rf, Known: true, Fake: rf < c.FakeThreshold}
 }
 
 // Judgement is the outcome of judging a file before download (§3.3).
@@ -83,14 +125,11 @@ func (e *Engine) JudgeFileFromTM(tm *sparse.CSR, i int, owners []OwnerEvaluation
 }
 
 func (e *Engine) judgeWith(reps map[int]float64, owners []OwnerEvaluation) (Judgement, error) {
-	r, err := FileReputation(reps, owners)
-	if errors.Is(err, ErrNoReputation) {
-		return Judgement{}, nil
-	}
+	ev, err := ownerEvidence(reps, owners)
 	if err != nil {
 		return Judgement{}, err
 	}
-	return Judgement{Reputation: r, Known: true, Fake: r < e.cfg.FakeThreshold}, nil
+	return e.cfg.Judge(ev), nil
 }
 
 // CollectOwnerEvaluations gathers the live published evaluations of file f

@@ -94,11 +94,11 @@ func (e *Engine) buildDMRef(now time.Duration) []map[int]float64 {
 		for j, entries := range per {
 			vd := 0.0
 			for _, d := range entries {
-				ev, ok := e.stores[i].Get(d.file, now)
+				ev, ok := e.stores[i].Get(d.File, now)
 				if !ok {
 					ev = floor
 				}
-				vd += ev * float64(d.size)
+				vd += ev * float64(d.Size)
 			}
 			if vd > 0 {
 				refSet(dm, i, j, vd)

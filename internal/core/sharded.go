@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -651,7 +652,7 @@ type ShardState struct {
 type PeerState struct {
 	ID        int                         `json:"id"`
 	Store     map[eval.FileID]eval.Record `json:"store,omitempty"`
-	Downloads map[int][]DownloadState     `json:"downloads,omitempty"`
+	Downloads map[int][]Download          `json:"downloads,omitempty"`
 	UserTrust map[int]float64             `json:"user_trust,omitempty"`
 	Blacklist []int                       `json:"blacklist,omitempty"`
 }
@@ -669,22 +670,10 @@ func (s *Sharded) ExportShardState(si int) (*ShardState, error) {
 	for _, p := range s.owned[si] {
 		ps := PeerState{ID: p, Store: full.stores[p].Export()}
 		if per := full.downloads[p]; len(per) > 0 {
-			m := make(map[int][]DownloadState, len(per))
-			for j, entries := range per {
-				out := make([]DownloadState, len(entries))
-				for k, d := range entries {
-					out[k] = DownloadState{File: d.file, Size: d.size}
-				}
-				m[j] = out
-			}
-			ps.Downloads = m
+			ps.Downloads = cloneLedgers(per)
 		}
 		if per := full.userTrust[p]; len(per) > 0 {
-			m := make(map[int]float64, len(per))
-			for j, v := range per {
-				m[j] = v
-			}
-			ps.UserTrust = m
+			ps.UserTrust = maps.Clone(per)
 		}
 		if per := full.blacklist[p]; len(per) > 0 {
 			out := make([]int, 0, len(per))
@@ -737,43 +726,8 @@ func (s *Sharded) RestoreShard(si int, st *ShardState) error {
 		if p < 0 || p >= s.eng.n || !owns(p) {
 			return fmt.Errorf("core: peer %d in shard %d snapshot is not owned by it", p, si)
 		}
-		s.eng.stores[p].Import(ps.Store)
-		for f := range ps.Store {
-			s.eng.indexEvaluator(f, p)
-		}
-		if len(ps.Downloads) > 0 {
-			m := make(map[int][]downloadEntry, len(ps.Downloads))
-			for j, entries := range ps.Downloads {
-				if j < 0 || j >= s.eng.n {
-					return fmt.Errorf("core: download target %d outside [0, %d)", j, s.eng.n)
-				}
-				out := make([]downloadEntry, len(entries))
-				for k, d := range entries {
-					out[k] = downloadEntry{file: d.File, size: d.Size}
-				}
-				m[j] = out
-			}
-			s.eng.downloads[p] = m
-		}
-		if len(ps.UserTrust) > 0 {
-			m := make(map[int]float64, len(ps.UserTrust))
-			for j, v := range ps.UserTrust {
-				if j < 0 || j >= s.eng.n {
-					return fmt.Errorf("core: rating target %d outside [0, %d)", j, s.eng.n)
-				}
-				m[j] = v
-			}
-			s.eng.userTrust[p] = m
-		}
-		if len(ps.Blacklist) > 0 {
-			m := make(map[int]struct{}, len(ps.Blacklist))
-			for _, j := range ps.Blacklist {
-				if j < 0 || j >= s.eng.n {
-					return fmt.Errorf("core: blacklist target %d outside [0, %d)", j, s.eng.n)
-				}
-				m[j] = struct{}{}
-			}
-			s.eng.blacklist[p] = m
+		if err := s.eng.restorePeer(ps); err != nil {
+			return err
 		}
 	}
 	for sj := range s.shards {

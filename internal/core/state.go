@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"mdrep/internal/eval"
@@ -22,17 +24,11 @@ type EngineState struct {
 	Stores []map[eval.FileID]eval.Record `json:"stores"`
 	// Downloads mirrors Engine.downloads; entry order within a slice is
 	// the append (event) order and must be preserved.
-	Downloads []map[int][]DownloadState `json:"downloads"`
+	Downloads []map[int][]Download `json:"downloads"`
 	// UserTrust mirrors Engine.userTrust.
 	UserTrust []map[int]float64 `json:"user_trust"`
 	// Blacklist holds each peer's banned targets, sorted.
 	Blacklist [][]int `json:"blacklist"`
-}
-
-// DownloadState is one serialized download ledger entry.
-type DownloadState struct {
-	File eval.FileID `json:"file"`
-	Size int64       `json:"size"`
 }
 
 // ExportState returns a deep copy of the engine's state.
@@ -40,7 +36,7 @@ func (e *Engine) ExportState() *EngineState {
 	st := &EngineState{
 		N:         e.n,
 		Stores:    make([]map[eval.FileID]eval.Record, e.n),
-		Downloads: make([]map[int][]DownloadState, e.n),
+		Downloads: make([]map[int][]Download, e.n),
 		UserTrust: make([]map[int]float64, e.n),
 		Blacklist: make([][]int, e.n),
 	}
@@ -48,28 +44,12 @@ func (e *Engine) ExportState() *EngineState {
 		st.Stores[i] = s.Export()
 	}
 	for i, per := range e.downloads {
-		if per == nil {
-			continue
+		if per != nil {
+			st.Downloads[i] = cloneLedgers(per)
 		}
-		m := make(map[int][]DownloadState, len(per))
-		for j, entries := range per {
-			out := make([]DownloadState, len(entries))
-			for k, d := range entries {
-				out[k] = DownloadState{File: d.file, Size: d.size}
-			}
-			m[j] = out
-		}
-		st.Downloads[i] = m
 	}
 	for i, per := range e.userTrust {
-		if per == nil {
-			continue
-		}
-		m := make(map[int]float64, len(per))
-		for j, v := range per {
-			m[j] = v
-		}
-		st.UserTrust[i] = m
+		st.UserTrust[i] = maps.Clone(per)
 	}
 	for i, per := range e.blacklist {
 		if per == nil {
@@ -100,54 +80,65 @@ func NewEngineFromState(st *EngineState, cfg Config) (*Engine, error) {
 		len(st.UserTrust) != st.N || len(st.Blacklist) != st.N {
 		return nil, fmt.Errorf("core: engine state slices disagree with population %d", st.N)
 	}
-	for i, records := range st.Stores {
-		e.stores[i].Import(records)
-		for f := range records {
-			e.indexEvaluator(f, i)
+	for i := range st.Stores {
+		ps := PeerState{ID: i, Store: st.Stores[i], Downloads: st.Downloads[i], UserTrust: st.UserTrust[i], Blacklist: st.Blacklist[i]}
+		if err := e.restorePeer(ps); err != nil {
+			return nil, err
 		}
 	}
-	for i, per := range st.Downloads {
-		if len(per) == 0 {
-			continue
-		}
-		m := make(map[int][]downloadEntry, len(per))
-		for j, entries := range per {
-			if j < 0 || j >= st.N {
-				return nil, fmt.Errorf("core: download target %d outside [0, %d)", j, st.N)
-			}
-			out := make([]downloadEntry, len(entries))
-			for k, d := range entries {
-				out[k] = downloadEntry{file: d.File, size: d.Size}
-			}
-			m[j] = out
-		}
-		e.downloads[i] = m
+	return e, nil
+}
+
+// restorePeer loads one peer's snapshot into its empty evidence, copying
+// everything and checking every target against the population. It is
+// the restore step of NewEngineFromState and Sharded.RestoreShard.
+func (e *Engine) restorePeer(ps PeerState) error {
+	p := ps.ID
+	e.stores[p].Import(ps.Store)
+	for f := range ps.Store {
+		e.indexEvaluator(f, p)
 	}
-	for i, per := range st.UserTrust {
-		if len(per) == 0 {
-			continue
+	inRange := func(what string, j int) error {
+		if j < 0 || j >= e.n {
+			return fmt.Errorf("core: %s target %d outside [0, %d)", what, j, e.n)
 		}
-		m := make(map[int]float64, len(per))
-		for j, v := range per {
-			if j < 0 || j >= st.N {
-				return nil, fmt.Errorf("core: rating target %d outside [0, %d)", j, st.N)
-			}
-			m[j] = v
-		}
-		e.userTrust[i] = m
+		return nil
 	}
-	for i, per := range st.Blacklist {
-		if len(per) == 0 {
-			continue
+	if len(ps.Downloads) > 0 {
+		for j := range ps.Downloads {
+			if err := inRange("download", j); err != nil {
+				return err
+			}
 		}
-		m := make(map[int]struct{}, len(per))
-		for _, j := range per {
-			if j < 0 || j >= st.N {
-				return nil, fmt.Errorf("core: blacklist target %d outside [0, %d)", j, st.N)
+		e.downloads[p] = cloneLedgers(ps.Downloads)
+	}
+	if len(ps.UserTrust) > 0 {
+		for j := range ps.UserTrust {
+			if err := inRange("rating", j); err != nil {
+				return err
+			}
+		}
+		e.userTrust[p] = maps.Clone(ps.UserTrust)
+	}
+	if len(ps.Blacklist) > 0 {
+		m := make(map[int]struct{}, len(ps.Blacklist))
+		for _, j := range ps.Blacklist {
+			if err := inRange("blacklist", j); err != nil {
+				return err
 			}
 			m[j] = struct{}{}
 		}
-		e.blacklist[i] = m
+		e.blacklist[p] = m
 	}
-	return e, nil
+	return nil
+}
+
+// cloneLedgers deep-copies one peer's download ledgers, keyed by
+// uploader.
+func cloneLedgers(per map[int][]Download) map[int][]Download {
+	m := make(map[int][]Download, len(per))
+	for j, entries := range per {
+		m[j] = slices.Clone(entries)
+	}
+	return m
 }

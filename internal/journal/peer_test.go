@@ -123,3 +123,106 @@ func TestPeerJournalCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPeerFlagsNotPersisted: examiner flags, like synced lists, are a
+// cache of what the network showed, so nothing durable may depend on
+// them. A peer that flags a mimic and blacklists another peer must
+// recover the same state from a crash (Sync, drop, reopen) as from a
+// clean shutdown (Close, reopen). Both keep the user's blacklist and the
+// rating the flag left untouched.
+func TestPeerFlagsNotPersisted(t *testing.T) {
+	banned := otherID(t, 100)
+	mimic, err := identity.Generate(identity.NewDeterministicReader(7777))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{SyncEvery: 1, SnapshotEvery: 0}
+	// examined builds the journaled peer with a network on which the
+	// mimic serves validly signed lists that it rewrites wholesale when
+	// phase changes.
+	examined := func(phase *int) *peer.Peer {
+		id, err := identity.Generate(identity.NewDeterministicReader(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := identity.NewDirectory()
+		for _, who := range []*identity.Identity{id, mimic} {
+			if _, err := dir.Register(who.PublicKey()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ex := peer.NewExchange()
+		ex.RegisterFunc(mimic.ID(), func() ([]eval.Info, error) {
+			vals := []float64{0.95, 0.05}
+			var out []eval.Info
+			for _, f := range []eval.FileID{"m1", "m2"} {
+				in := eval.Info{FileID: f, OwnerID: mimic.ID(), Evaluation: vals[*phase], Timestamp: time.Duration(*phase)}
+				if err := in.Sign(mimic); err != nil {
+					return nil, err
+				}
+				out = append(out, in)
+			}
+			return out, nil
+		})
+		pcfg := peer.DefaultConfig()
+		pcfg.ExaminerMinOverlap = 2
+		p, err := peer.New(id, dir, ex, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	recovered := func(crash bool) *peer.State {
+		dataDir := t.TempDir()
+		phase := 0
+		jp, _, err := OpenPeer(dataDir, examined(&phase), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := []func() error{
+			func() error { return jp.Vote("m1", 0.9) },
+			func() error { return jp.RateUser(mimic.ID(), 0.8) },
+			func() error { return jp.RecordDownload(mimic.ID(), "m1", 1<<20) },
+			func() error { return jp.Blacklist(banned) },
+		}
+		for i, step := range steps {
+			if err := step(); err != nil {
+				t.Fatalf("step %d: %v", i, err)
+			}
+		}
+		if _, err := jp.Base().SyncPeer(mimic.ID()); err != nil {
+			t.Fatal(err)
+		}
+		phase = 1
+		if _, err := jp.Base().SyncPeer(mimic.ID()); err == nil {
+			t.Fatal("mimic not flagged")
+		}
+		if !jp.Base().IsBlacklisted(mimic.ID()) {
+			t.Fatal("flagged mimic not reported")
+		}
+		if crash {
+			err = jp.Sync()
+		} else {
+			err = jp.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, _, err := OpenPeer(dataDir, examined(new(int)), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restored.Close()
+		if !restored.Base().IsBlacklisted(banned) {
+			t.Fatal("user blacklist lost across restart")
+		}
+		return restored.Base().ExportState()
+	}
+	crashed, closed := recovered(true), recovered(false)
+	if !reflect.DeepEqual(crashed, closed) {
+		t.Fatalf("crash and clean shutdown recover different states:\ncrash %+v\nclose %+v", crashed, closed)
+	}
+	if !reflect.DeepEqual(closed.Banned, []identity.PeerID{banned}) || closed.Ratings[mimic.ID()] != 0.8 {
+		t.Fatalf("recovered blacklist %v and ratings %v, want only the user's ban and the mimic's rating", closed.Banned, closed.Ratings)
+	}
+}

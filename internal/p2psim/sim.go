@@ -47,14 +47,16 @@ func (v *version) addOwner(p int, now time.Duration) {
 }
 
 // lipMass is the LIP ranking signal at time now: total time the version
-// has been held across its current owners, excluding the requester.
+// has been held across its current owners, excluding the requester. It
+// sums in owner insertion order (owners are never removed), so the
+// signal has the same bits on every run.
 func (v *version) lipMass(d int, now time.Duration) float64 {
 	total := 0.0
-	for p, since := range v.ownerSince {
+	for _, p := range v.owners {
 		if p == d {
 			continue
 		}
-		if held := now - since; held > 0 {
+		if held := now - v.ownerSince[p]; held > 0 {
 			total += held.Hours()
 		}
 	}

@@ -18,6 +18,10 @@
 //   - §4.2: proactively re-examine peers' evaluation lists and drop
 //     flagged forgers from the trust row.
 //
+// The trust row and the Eq. (9) verdict come from core's row kernels,
+// with the peers this one knows numbered by ascending ID, so a peer
+// computes its row of TM and its verdicts with the engine's bits.
+//
 // Exchanged evaluation lists are signed per entry, so a relay cannot
 // forge them; verification failures discard the entry.
 package peer
@@ -27,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,6 +41,7 @@ import (
 	"mdrep/internal/incentive"
 	"mdrep/internal/obs"
 	"mdrep/internal/security"
+	"mdrep/internal/sparse"
 )
 
 // Causal-tracing span names and attribute keys (const table per the
@@ -103,11 +107,17 @@ type Peer struct {
 	mu     sync.RWMutex
 	store  *eval.Store
 	now    time.Duration
-	downBy map[identity.PeerID][]downloadEntry
+	downBy map[identity.PeerID][]core.Download
 	rating map[identity.PeerID]float64
+	// banned is the user's blacklist (§3.1.3): a banned peer's rating is
+	// deleted and later ratings are refused, so its UT stays zero.
 	banned map[identity.PeerID]struct{}
 	// lists caches fetched evaluation lists per peer.
-	lists    map[identity.PeerID]map[eval.FileID]float64
+	lists map[identity.PeerID]map[eval.FileID]float64
+	// flagged holds the peers the examiner caught forging (§4.2). They
+	// are left out of every trust dimension. Like lists, flags are a
+	// cache of what the network showed, and are not persisted.
+	flagged  map[identity.PeerID]struct{}
 	examiner *security.Examiner
 	examIdx  map[identity.PeerID]int
 	examSeq  int
@@ -116,11 +126,6 @@ type Peer struct {
 	// signed reuses the signatures SignedEvaluations served before. It
 	// has its own lock, so serving does not hold mu while signing.
 	signed signMemo
-}
-
-type downloadEntry struct {
-	file eval.FileID
-	size int64
 }
 
 // New builds a peer with the given identity, PKI directory and network.
@@ -148,10 +153,11 @@ func New(id *identity.Identity, dir *Directory, net Network, cfg Config) (*Peer,
 		dir:     dir,
 		net:     net,
 		store:   store,
-		downBy:  make(map[identity.PeerID][]downloadEntry),
+		downBy:  make(map[identity.PeerID][]core.Download),
 		rating:  make(map[identity.PeerID]float64),
 		banned:  make(map[identity.PeerID]struct{}),
 		lists:   make(map[identity.PeerID]map[eval.FileID]float64),
+		flagged: make(map[identity.PeerID]struct{}),
 		examIdx: make(map[identity.PeerID]int),
 		queue:   queue,
 	}
@@ -197,19 +203,11 @@ func (p *Peer) ObserveRetention(f eval.FileID, retention time.Duration, deleted 
 
 // RecordDownload registers a completed download from uploader.
 func (p *Peer) RecordDownload(uploader identity.PeerID, f eval.FileID, size int64) error {
-	if uploader == p.ID() {
-		return fault.Terminal(errors.New("peer: self-download"))
-	}
-	if size < 0 {
-		return fault.Terminal(fmt.Errorf("peer: negative size %d", size))
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.downBy[uploader] = append(p.downBy[uploader], downloadEntry{file: f, size: size})
-	return nil
+	return p.ApplyEvent(Event{Kind: EventDownload, Target: uploader, File: f, Size: size})
 }
 
-// RateUser records an explicit user rating; Blacklist bans permanently.
+// RateUser records an explicit user rating. A blacklisted target's
+// rating is refused.
 func (p *Peer) RateUser(target identity.PeerID, value float64) error {
 	if value < 0 || value > 1 {
 		return fault.Terminal(fmt.Errorf("peer: rating %v outside [0,1]", value))
@@ -223,13 +221,14 @@ func (p *Peer) RateUser(target identity.PeerID, value float64) error {
 	return nil
 }
 
-// Blacklist permanently zeroes the target's user trust.
+// Blacklist permanently zeroes the target's user trust (§3.1.3): its
+// rating is deleted and later ratings are refused. File and download
+// evidence about the target still count, as in core.
 func (p *Peer) Blacklist(target identity.PeerID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.banned[target] = struct{}{}
 	delete(p.rating, target)
-	delete(p.lists, target)
 }
 
 // SignedEvaluations returns the peer's current evaluation list as signed
@@ -292,8 +291,7 @@ func (p *Peer) SyncPeer(target identity.PeerID) (n int, err error) {
 			p.examIdx[target] = idx
 		}
 		if v := p.examiner.Examine(idx, list); v.Flagged {
-			p.banned[target] = struct{}{}
-			delete(p.rating, target)
+			p.flagged[target] = struct{}{}
 			delete(p.lists, target)
 			return 0, fault.Terminal(fmt.Errorf("peer: %s flagged as evaluation forger", target))
 		}
@@ -327,148 +325,100 @@ func fileTrust(mine, list map[eval.FileID]float64) float64 {
 	return ft
 }
 
-// sumInKeyOrder adds m's values in ascending key order, so a dimension's
-// total, and every trust value normalised by it, is bit-reproducible.
-func sumInKeyOrder(m map[identity.PeerID]float64) float64 {
-	keys := make([]identity.PeerID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	total := 0.0
-	for _, k := range keys {
-		total += m[k]
-	}
-	return total
-}
-
 // TrustRow returns the peer's one-step direct trust in every known peer:
-// the per-peer equivalent of row i of TM (Eq. 7), built from its own
-// evidence and the synced evaluation lists, normalised per dimension.
-// Blacklisted and flagged peers are excluded.
+// its row of TM (Eq. 7). It numbers the peers it knows by ascending ID,
+// builds the raw FT (Eq. 2), VD (Eq. 4) and UT (Eq. 6) rows over them,
+// and hands them to core's normaliser and Eq. (7) kernel, so the row has
+// the bits the engine computes from the same evidence. Peers the
+// examiner flagged are left out of every dimension.
 func (p *Peer) TrustRow() map[identity.PeerID]float64 {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 
-	mine := p.store.Snapshot(p.now)
-	ft := make(map[identity.PeerID]float64, len(p.lists))
-	for target, list := range p.lists {
-		if _, bad := p.banned[target]; bad {
-			continue
-		}
-		if v := fileTrust(mine, list); v > 0 {
-			ft[target] = v
-		}
+	ids := make([]identity.PeerID, 0, len(p.lists)+len(p.downBy)+len(p.rating))
+	for id := range p.lists {
+		ids = append(ids, id)
 	}
-	vd := make(map[identity.PeerID]float64, len(p.downBy))
-	floor := p.cfg.Reputation.Retention.Floor
-	for target, entries := range p.downBy {
-		if _, bad := p.banned[target]; bad {
-			continue
-		}
-		total := 0.0
-		for _, d := range entries {
-			ev, ok := p.store.Get(d.file, p.now)
-			if !ok {
-				ev = floor
-			}
-			total += ev * float64(d.size)
-		}
-		if total > 0 {
-			vd[target] = total
-		}
+	for id := range p.downBy {
+		ids = append(ids, id)
 	}
-	ut := make(map[identity.PeerID]float64, len(p.rating))
-	for target, v := range p.rating {
-		if v > 0 {
-			ut[target] = v
-		}
+	for id := range p.rating {
+		ids = append(ids, id)
 	}
+	slices.Sort(ids)
+	ids = slices.DeleteFunc(slices.Compact(ids), func(id identity.PeerID) bool {
+		_, bad := p.flagged[id]
+		return bad
+	})
 
-	row := make(map[identity.PeerID]float64)
-	add := func(m map[identity.PeerID]float64, weight float64) {
-		total := sumInKeyOrder(m)
-		if total <= 0 || weight <= 0 {
-			return
-		}
-		for target, v := range m {
-			row[target] += weight * v / total
+	mine := p.store.Snapshot(p.now)
+	floor := p.cfg.Reputation.Retention.Floor
+	var raw [3]sparse.Row // FT, VD, UT
+	for d := range raw {
+		raw[d] = sparse.Row{Cols: make([]int32, 0, len(ids)), Vals: make([]float64, 0, len(ids))}
+	}
+	add := func(d, col int, v float64) {
+		if v > 0 {
+			raw[d].Cols = append(raw[d].Cols, int32(col))
+			raw[d].Vals = append(raw[d].Vals, v)
 		}
 	}
-	add(ft, p.cfg.Reputation.Alpha)
-	add(vd, p.cfg.Reputation.Beta)
-	add(ut, p.cfg.Reputation.Gamma)
-	return row
+	for col, id := range ids {
+		if list, ok := p.lists[id]; ok {
+			add(0, col, fileTrust(mine, list))
+		}
+		add(1, col, core.DownloadVolume(p.downBy[id], p.store, p.now, floor))
+		add(2, col, p.rating[id])
+	}
+	row := p.cfg.Reputation.TrustRow(raw[0], raw[1], raw[2])
+	out := make(map[identity.PeerID]float64, len(row.Cols))
+	for k, col := range row.Cols {
+		out[ids[col]] = row.Vals[k]
+	}
+	return out
 }
 
 // JudgeFile computes R_f (Eq. 9) from DHT-retrieved evaluator records,
 // verifying each record's signature first (§4.2 attack 1). Records
-// outside [0,1] are dropped without a signature check. The checks run in
-// parallel (eval.VerifyAll) and the verified records are summed in input
-// order, so R_f has the same bits at any GOMAXPROCS.
+// outside [0,1] are dropped without a signature check: one hostile
+// record must not fail the judgement. The checks run in parallel
+// (eval.VerifyAll) and the verified records are summed in input order,
+// so R_f has the same bits at any GOMAXPROCS.
 func (p *Peer) JudgeFile(records []eval.Info) (core.Judgement, error) {
 	row := p.TrustRow()
 	errs := eval.VerifyAll(p.dir, records)
-	var num, den float64
+	var ev core.FileEvidence
 	for i, in := range records {
-		if errs[i] != nil {
-			continue // forged or outside [0,1]
+		if errs[i] == nil { // otherwise forged or outside [0,1]
+			ev.Add(row[in.OwnerID], in.Evaluation)
 		}
-		r := row[in.OwnerID]
-		if r <= 0 {
-			continue
-		}
-		num += r * in.Evaluation
-		den += r
 	}
-	if den <= 0 {
-		return core.Judgement{}, nil
-	}
-	rf := num / den
-	return core.Judgement{
-		Reputation: rf,
-		Known:      true,
-		Fake:       rf < p.cfg.Reputation.FakeThreshold,
-	}, nil
+	return p.cfg.Reputation.Judge(ev), nil
 }
 
 // JudgeFileFromCache computes R_f from the peer's locally cached
 // evaluation lists instead of DHT records — the degraded mode used when
 // the file index is unreachable (§4.1 step 5 fallback). The cached
-// entries were signature-verified when synced. Coverage is limited to
-// peers whose lists this peer has fetched, so the verdict can be
-// Unknown for a file the wider network has evaluated.
+// entries were verified, range and signature, when synced, and are
+// summed in ascending owner order. Coverage is limited to peers whose
+// lists this peer has fetched, so the verdict can be Unknown for a file
+// the wider network has evaluated.
 func (p *Peer) JudgeFileFromCache(f eval.FileID) core.Judgement {
 	row := p.TrustRow() // before p.mu: TrustRow takes the same lock
 	p.mu.RLock()
+	defer p.mu.RUnlock()
 	targets := make([]identity.PeerID, 0, len(p.lists))
 	for target := range p.lists {
 		targets = append(targets, target)
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-	var num, den float64
+	slices.Sort(targets)
+	var ev core.FileEvidence
 	for _, target := range targets {
-		e, ok := p.lists[target][f]
-		if !ok || e < 0 || e > 1 {
-			continue
+		if e, ok := p.lists[target][f]; ok {
+			ev.Add(row[target], e)
 		}
-		r := row[target]
-		if r <= 0 {
-			continue
-		}
-		num += r * e
-		den += r
 	}
-	p.mu.RUnlock()
-	if den <= 0 {
-		return core.Judgement{}
-	}
-	rf := num / den
-	return core.Judgement{
-		Reputation: rf,
-		Known:      true,
-		Fake:       rf < p.cfg.Reputation.FakeThreshold,
-	}
+	return p.cfg.Reputation.Judge(ev)
 }
 
 // EnqueueUpload queues an inbound upload request under the incentive
@@ -500,11 +450,12 @@ func (p *Peer) PendingUploads() int {
 	return p.queue.Len()
 }
 
-// IsBlacklisted reports whether the peer has banned target (explicitly or
-// via the examiner).
+// IsBlacklisted reports whether the peer has banned target, by its
+// user's blacklist or by an examiner flag.
 func (p *Peer) IsBlacklisted(target identity.PeerID) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	_, bad := p.banned[target]
-	return bad
+	_, banned := p.banned[target]
+	_, flagged := p.flagged[target]
+	return banned || flagged
 }

@@ -169,7 +169,12 @@ func TestTrustRowDimensions(t *testing.T) {
 	}
 }
 
-func TestBlacklistRemovesTrust(t *testing.T) {
+// TestBlacklistZeroesUserTrust: a blacklist zeroes UT for good and
+// leaves the other dimensions alone (§3.1.3, as in core). b agrees with
+// a on every shared file and is rated 1, so a's row gives b α·1 + γ·1;
+// after the blacklist only the α·FM share is left, and a later rating
+// does not bring the UT share back.
+func TestBlacklistZeroesUserTrust(t *testing.T) {
 	peers, _, _ := testnet(t, 2, DefaultConfig())
 	a, b := peers[0], peers[1]
 	a.Vote("x", 0.9)
@@ -180,16 +185,19 @@ func TestBlacklistRemovesTrust(t *testing.T) {
 	if err := a.RateUser(b.ID(), 1.0); err != nil {
 		t.Fatal(err)
 	}
+	alpha := a.cfg.Reputation.Alpha
+	if got, want := a.TrustRow()[b.ID()], alpha+a.cfg.Reputation.Gamma; got != want {
+		t.Fatalf("trust before the blacklist = %v, want α+γ = %v", got, want)
+	}
 	a.Blacklist(b.ID())
-	row := a.TrustRow()
-	if row[b.ID()] != 0 {
-		t.Fatalf("blacklisted peer retains trust %v", row[b.ID()])
+	if got := a.TrustRow()[b.ID()]; got != alpha {
+		t.Fatalf("blacklisted peer has trust %v, want its α·FM share %v", got, alpha)
 	}
 	if err := a.RateUser(b.ID(), 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if a.TrustRow()[b.ID()] != 0 {
-		t.Fatal("post-blacklist rating restored trust")
+	if got := a.TrustRow()[b.ID()]; got != alpha {
+		t.Fatalf("post-blacklist rating moved trust to %v, want %v", got, alpha)
 	}
 	if !a.IsBlacklisted(b.ID()) {
 		t.Fatal("blacklist not reported")
@@ -363,6 +371,18 @@ func TestExaminerFlagsMimicAndBans(t *testing.T) {
 	if _, err := a.SyncPeer(mimicID.ID()); err != nil {
 		t.Fatal(err)
 	}
+	// Evidence in every dimension: a agrees with the first list, rated
+	// the mimic and downloaded from it.
+	a.Vote("m1", 0.95)
+	if err := a.RateUser(mimicID.ID(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.RecordDownload(mimicID.ID(), "m1", 1000); err != nil {
+		t.Fatal(err)
+	}
+	if a.TrustRow()[mimicID.ID()] <= 0 {
+		t.Fatal("no trust in the mimic before the flag")
+	}
 	phase = 1 // wholesale rewrite between examinations
 	_, err = a.SyncPeer(mimicID.ID())
 	if err == nil || !strings.Contains(err.Error(), "forger") {
@@ -370,6 +390,15 @@ func TestExaminerFlagsMimicAndBans(t *testing.T) {
 	}
 	if !a.IsBlacklisted(mimicID.ID()) {
 		t.Fatal("flagged mimic not banned")
+	}
+	if v, ok := a.TrustRow()[mimicID.ID()]; ok {
+		t.Fatalf("flagged mimic keeps trust %v", v)
+	}
+	// The flag is not the user's evidence: it leaves the rating alone
+	// and is not exported.
+	st := a.ExportState()
+	if st.Ratings[mimicID.ID()] != 1 || len(st.Banned) != 0 {
+		t.Fatalf("flag changed own evidence: ratings %v, banned %v", st.Ratings, st.Banned)
 	}
 }
 

@@ -2,9 +2,12 @@ package peer
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
+	"mdrep/internal/core"
 	"mdrep/internal/eval"
 	"mdrep/internal/fault"
 	"mdrep/internal/identity"
@@ -12,10 +15,11 @@ import (
 
 // A Peer's own evidence — its evaluation store, download ledger, user
 // ratings and blacklist — is expressed as a serializable event model so
-// internal/journal can make it durable. Synced evaluation lists and
-// examiner state are deliberately *not* part of it: they are caches of
-// other peers' claims, re-fetched over the network, and re-trusting them
-// across a restart would let a since-flagged forger ride back in.
+// internal/journal can make it durable. Synced evaluation lists, the
+// examiner's history and its flags are deliberately *not* part of it:
+// they are caches of other peers' claims, re-fetched and re-examined
+// over the network, and nothing durable depends on them. So a peer
+// recovers the same state from a crash as from a clean shutdown.
 
 // EventKind discriminates peer events. Values are part of the on-disk
 // journal format — append new kinds, never renumber.
@@ -81,7 +85,7 @@ func (p *Peer) ApplyEvent(ev Event) error {
 		}
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		p.downBy[ev.Target] = append(p.downBy[ev.Target], downloadEntry{file: ev.File, size: ev.Size})
+		p.downBy[ev.Target] = append(p.downBy[ev.Target], core.Download{File: ev.File, Size: ev.Size})
 		return nil
 	case EventRateUser:
 		return p.RateUser(ev.Target, ev.Value)
@@ -95,17 +99,12 @@ func (p *Peer) ApplyEvent(ev Event) error {
 
 // State is the serializable own-evidence state of a Peer.
 type State struct {
-	Now     time.Duration                    `json:"now"`
-	Records map[eval.FileID]eval.Record      `json:"records"`
-	DownBy  map[identity.PeerID][]DownRecord `json:"down_by"`
-	Ratings map[identity.PeerID]float64      `json:"ratings"`
-	Banned  []identity.PeerID                `json:"banned"`
-}
-
-// DownRecord is one serialized download ledger entry.
-type DownRecord struct {
-	File eval.FileID `json:"file"`
-	Size int64       `json:"size"`
+	Now     time.Duration                       `json:"now"`
+	Records map[eval.FileID]eval.Record         `json:"records"`
+	DownBy  map[identity.PeerID][]core.Download `json:"down_by"`
+	Ratings map[identity.PeerID]float64         `json:"ratings"`
+	// Banned is the user's blacklist; examiner flags are not state.
+	Banned []identity.PeerID `json:"banned"`
 }
 
 // ExportState returns a deep copy of the peer's own evidence.
@@ -115,19 +114,12 @@ func (p *Peer) ExportState() *State {
 	st := &State{
 		Now:     p.now,
 		Records: p.store.Export(),
-		DownBy:  make(map[identity.PeerID][]DownRecord, len(p.downBy)),
-		Ratings: make(map[identity.PeerID]float64, len(p.rating)),
+		DownBy:  make(map[identity.PeerID][]core.Download, len(p.downBy)),
+		Ratings: maps.Clone(p.rating),
 		Banned:  make([]identity.PeerID, 0, len(p.banned)),
 	}
 	for target, entries := range p.downBy {
-		out := make([]DownRecord, len(entries))
-		for i, d := range entries {
-			out[i] = DownRecord{File: d.file, Size: d.size}
-		}
-		st.DownBy[target] = out
-	}
-	for target, v := range p.rating {
-		st.Ratings[target] = v
+		st.DownBy[target] = slices.Clone(entries)
 	}
 	for target := range p.banned {
 		st.Banned = append(st.Banned, target)
@@ -142,13 +134,9 @@ func (p *Peer) RestoreState(st *State) error {
 	if st == nil {
 		return fault.Terminal(fmt.Errorf("peer: nil state"))
 	}
-	downBy := make(map[identity.PeerID][]downloadEntry, len(st.DownBy))
+	downBy := make(map[identity.PeerID][]core.Download, len(st.DownBy))
 	for target, entries := range st.DownBy {
-		out := make([]downloadEntry, len(entries))
-		for i, d := range entries {
-			out[i] = downloadEntry{file: d.File, size: d.Size}
-		}
-		downBy[target] = out
+		downBy[target] = slices.Clone(entries)
 	}
 	rating := make(map[identity.PeerID]float64, len(st.Ratings))
 	for target, v := range st.Ratings {

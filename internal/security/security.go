@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"mdrep/internal/core"
@@ -84,15 +85,20 @@ func (x *Examiner) Examine(peer int, list map[eval.FileID]float64) Verdict {
 
 	v := Verdict{Drift: math.NaN()}
 	if seen {
-		var sum float64
-		for f, old := range prev {
-			cur, ok := snap[f]
-			if !ok {
-				continue
+		// Sum in ascending file order, so the drift has the same bits on
+		// every run.
+		shared := make([]eval.FileID, 0, len(prev))
+		for f := range prev {
+			if _, ok := snap[f]; ok {
+				shared = append(shared, f)
 			}
-			sum += math.Abs(cur - old)
-			v.Compared++
 		}
+		slices.Sort(shared)
+		var sum float64
+		for _, f := range shared {
+			sum += math.Abs(snap[f] - prev[f])
+		}
+		v.Compared = len(shared)
 		if v.Compared >= x.minOverlap {
 			v.Drift = sum / float64(v.Compared)
 			if v.Drift > x.threshold {

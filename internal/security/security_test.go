@@ -103,6 +103,32 @@ func TestExaminerInsufficientOverlap(t *testing.T) {
 	}
 }
 
+// TestExaminerDriftBitReproducible repeats one examination of the same
+// two 64-file lists and expects one Drift bit pattern: the drift must
+// sum in a fixed file order, never in map order, or a verdict near the
+// threshold could differ between runs.
+func TestExaminerDriftBitReproducible(t *testing.T) {
+	before := make(map[eval.FileID]float64, 64)
+	after := make(map[eval.FileID]float64, 64)
+	for f := 0; f < 64; f++ {
+		id := eval.FileID(fmt.Sprintf("f%02d", f))
+		before[id] = float64(f*37%101) / 100
+		after[id] = float64(f*53%97) / 96
+	}
+	seen := make(map[uint64]int)
+	for i := 0; i < 200; i++ {
+		x, err := NewExaminer(0.9, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Examine(0, before)
+		seen[math.Float64bits(x.Examine(0, after).Drift)]++
+	}
+	if len(seen) != 1 {
+		t.Fatalf("200 examinations of the same lists gave %d Drift bit patterns", len(seen))
+	}
+}
+
 func TestMimicListIsCopy(t *testing.T) {
 	victim := list(0.5)
 	m := MimicList(victim)

@@ -250,9 +250,26 @@ func WeightedSum(prev *CSR, n int, dirty []int, terms []Weighted) (*CSR, error) 
 	return splice(prev, n, dirty, rows), nil
 }
 
+// WeightedRow is one row of WeightedSum: Σ scales[t]·rows[t], with the
+// same per-entry arithmetic. Rows whose scale is zero are skipped.
+func WeightedRow(scales []float64, rows []Row) Row {
+	live := make([]float64, 0, len(scales))
+	heads := make([]Row, 0, len(rows))
+	size := 0
+	for t, s := range scales {
+		if s != 0 {
+			live = append(live, s)
+			heads = append(heads, rows[t])
+			size += len(rows[t].Cols)
+		}
+	}
+	cols, vals := appendWeightedRow(make([]int32, 0, size), make([]float64, 0, size), live, heads)
+	return Row{Cols: cols, Vals: vals}
+}
+
 // appendWeightedRow merges the ascending rows in heads, consuming them,
 // and appends Σ scales[t]·heads[t] column by column. It is the per-row
-// arithmetic of WeightedSum.
+// arithmetic of WeightedSum and WeightedRow.
 //
 //mdrep:hotpath
 func appendWeightedRow(cols []int32, vals []float64, scales []float64, heads []Row) ([]int32, []float64) {

@@ -236,15 +236,24 @@ func TestWeightedSumMatchesAddScaled(t *testing.T) {
 		if trial%3 == 0 {
 			weights[1] = 0 // zero-weight terms must be skipped entirely
 		}
+		ra, rb, rc := rowsOf(a.freeze()), rowsOf(b.freeze()), rowsOf(c.freeze())
 		got, err := WeightedSum(nil, n, allRows(n), []Weighted{
-			{weights[0], rowsOf(a.freeze())},
-			{weights[1], rowsOf(b.freeze())},
-			{weights[2], rowsOf(c.freeze())},
+			{weights[0], ra},
+			{weights[1], rb},
+			{weights[2], rc},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		mustEqualEntries(t, "WeightedSum", addScaled(weights, a, b, c).entries(), got.Entries())
+		// WeightedRow is the same kernel, one row at a time.
+		for i := 0; i < n; i++ {
+			row := WeightedRow(weights, []Row{ra[i], rb[i], rc[i]})
+			cols, vals := got.Row(i)
+			if fmt.Sprint(row.Cols, row.Vals) != fmt.Sprint(cols, vals) {
+				t.Fatalf("WeightedRow(%d) = %v %v, WeightedSum row %v %v", i, row.Cols, row.Vals, cols, vals)
+			}
+		}
 	}
 }
 
