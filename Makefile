@@ -150,9 +150,15 @@ shard:
 # detector twice over: the cross-validation property tests against the
 # exact RowVecPow kernel (including the E11 mean-error ≤ 0.05 bound at
 # 16k walks on n=2000 graphs), the byte-reproducibility contract across
-# GOMAXPROCS values, and the 50-schedule DHTSource chaos suite.
+# GOMAXPROCS values, and the 50-schedule DHTSource chaos suite. Then it
+# runs the estimator's contracts at one and four CPUs: the pinned
+# estimate digest, the row-call order (each distinct row once, level by
+# level, ascending, one call at a time), the abort at the failing level,
+# and byte reproducibility. Four procs reach the parallel step path.
 walk:
 	$(GO) test -race -count=2 mdrep/internal/walk
+	$(GO) test -race -count=2 -cpu 1,4 \
+		-run 'BitsPinned|RowCallContract|AbortsOnRowError|ByteReproducible' mdrep/internal/walk
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -166,7 +172,7 @@ bench:
 # run down, so min-of-N damps the noise a single long run cannot.
 # Five repeats, not three: fsync-bound and sub-microsecond benchmarks
 # still flapped past the 15% gate run-to-run at min-of-3 on 1-CPU hosts.
-BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate|BenchmarkTCPRoundTrip|BenchmarkPeerSync|BenchmarkPeerTrustRow
+BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate|BenchmarkWalkEstimateDHT|BenchmarkTCPRoundTrip|BenchmarkPeerSync|BenchmarkPeerTrustRow
 BENCH_COUNT := 5
 BENCH_TIME  := 0.5s
 

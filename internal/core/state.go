@@ -49,7 +49,11 @@ func (e *Engine) ExportState() *EngineState {
 		}
 	}
 	for i, per := range e.userTrust {
-		st.UserTrust[i] = maps.Clone(per)
+		// A rating map that blacklisting emptied exports as nil, the
+		// way it restores, so a round trip keeps the bytes.
+		if len(per) > 0 {
+			st.UserTrust[i] = maps.Clone(per)
+		}
 	}
 	for i, per := range e.blacklist {
 		if per == nil {

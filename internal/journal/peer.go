@@ -30,6 +30,11 @@ func (s *peerState) Apply(payload []byte) error {
 	if err := json.Unmarshal(payload, &ev); err != nil {
 		return err
 	}
+	if ev.Kind == peer.EventRateUser && ev.Target == s.p.ID() {
+		// Journals written before RateUser refused self-ratings may
+		// hold one. Replay drops it, as RestoreState does.
+		return nil
+	}
 	return s.p.ApplyEvent(ev)
 }
 

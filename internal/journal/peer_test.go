@@ -1,11 +1,13 @@
 package journal
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/fault"
 	"mdrep/internal/identity"
 	"mdrep/internal/obs"
 	"mdrep/internal/peer"
@@ -91,6 +93,95 @@ func TestPeerJournalRoundTrip(t *testing.T) {
 	}
 	if err := restored.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPeerJournalRefusesSelfRating: a self-rating fails terminally and
+// journals nothing, so a crash right after it replays nothing.
+func TestPeerJournalRefusesSelfRating(t *testing.T) {
+	dataDir := t.TempDir()
+	cfg := Config{SyncEvery: 1, SnapshotEvery: 0}
+	jp, _, err := OpenPeer(dataDir, newTestPeer(t, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jp.RateUser(jp.Base().ID(), 1); !fault.IsTerminal(err) {
+		t.Fatalf("self-rating: err = %v, want fault.Terminal", err)
+	}
+	if err := jp.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	restored, info, err := OpenPeer(dataDir, newTestPeer(t, 4), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Replayed != 0 {
+		t.Fatalf("replayed %d events, want 0: the refused rating was journaled", info.Replayed)
+	}
+	if err := restored.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// legacyState writes a peer journal the way a binary that accepted
+// self-ratings did: events are appended verbatim and the snapshot is st.
+type legacyState struct{ st peer.State }
+
+func (legacyState) Apply([]byte) error          { return nil }
+func (s legacyState) Snapshot() ([]byte, error) { return json.Marshal(s.st) }
+func (legacyState) Restore([]byte) error        { return nil }
+
+// TestPeerRecoversDroppingSelfRating: a journal written before
+// self-ratings were refused may hold one, in a WAL event or in a
+// snapshot. Recovery succeeds, drops the self-rating and keeps the rest.
+func TestPeerRecoversDroppingSelfRating(t *testing.T) {
+	self := newTestPeer(t, 3).ID()
+	other := otherID(t, 99)
+	want := map[identity.PeerID]float64{other: 0.7}
+	for _, fromSnapshot := range []bool{false, true} {
+		dataDir := t.TempDir()
+		legacy := legacyState{st: peer.State{Ratings: map[identity.PeerID]float64{other: 0.7, self: 1}}}
+		log, _, err := Open(dataDir, Config{SyncEvery: 1}, legacy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range []peer.Event{
+			{Kind: peer.EventRateUser, Target: other, Value: 0.7},
+			{Kind: peer.EventRateUser, Target: self, Value: 1},
+		} {
+			payload, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Append(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if fromSnapshot {
+			if err := log.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		jp, info, err := OpenPeer(dataDir, newTestPeer(t, 3), Config{SyncEvery: 1})
+		if err != nil {
+			t.Fatalf("snapshot=%v: recovery failed: %v", fromSnapshot, err)
+		}
+		if fromSnapshot != (info.SnapshotSeq == 2) {
+			t.Fatalf("snapshot=%v: recovery = %+v", fromSnapshot, info)
+		}
+		if got := jp.Base().ExportState().Ratings; !reflect.DeepEqual(got, want) {
+			t.Fatalf("snapshot=%v: ratings %v, want %v", fromSnapshot, got, want)
+		}
+		if v, ok := jp.Base().TrustRow()[self]; ok {
+			t.Fatalf("snapshot=%v: recovered peer trusts itself %v", fromSnapshot, v)
+		}
+		if err := jp.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -206,9 +206,13 @@ func (p *Peer) RecordDownload(uploader identity.PeerID, f eval.FileID, size int6
 	return p.ApplyEvent(Event{Kind: EventDownload, Target: uploader, File: f, Size: size})
 }
 
-// RateUser records an explicit user rating. A blacklisted target's
-// rating is refused.
+// RateUser records an explicit user rating. A rating of the peer itself
+// is refused with a terminal error and changes nothing, as core refuses
+// one; a blacklisted target's rating is dropped.
 func (p *Peer) RateUser(target identity.PeerID, value float64) error {
+	if target == p.ID() {
+		return fault.Terminal(errors.New("peer: self-rating"))
+	}
 	if value < 0 || value > 1 {
 		return fault.Terminal(fmt.Errorf("peer: rating %v outside [0,1]", value))
 	}

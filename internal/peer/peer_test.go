@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/fault"
 	"mdrep/internal/identity"
 )
 
@@ -442,6 +443,26 @@ func TestRecordDownloadValidation(t *testing.T) {
 	}
 	if err := p.RateUser("other", 1.5); err == nil {
 		t.Fatal("out-of-range rating accepted")
+	}
+}
+
+// A peer's rating of itself is refused, as core refuses one: the call
+// fails terminally and the trust row and the exported state keep no
+// trace of it.
+func TestRateUserRefusesSelf(t *testing.T) {
+	peers, _, _ := testnet(t, 1, DefaultConfig())
+	p := peers[0]
+	if err := p.RateUser(p.ID(), 1); !fault.IsTerminal(err) {
+		t.Fatalf("self-rating: err = %v, want fault.Terminal", err)
+	}
+	if v, ok := p.TrustRow()[p.ID()]; ok {
+		t.Fatalf("self-rating left trust %v in the peer's own row", v)
+	}
+	if r := p.ExportState().Ratings; len(r) != 0 {
+		t.Fatalf("self-rating left ratings %v", r)
+	}
+	if err := p.ApplyEvent(Event{Kind: EventRateUser, Target: p.ID(), Value: 1}); !fault.IsTerminal(err) {
+		t.Fatalf("self-rating event: err = %v, want fault.Terminal", err)
 	}
 }
 

@@ -130,6 +130,8 @@ func (p *Peer) ExportState() *State {
 
 // RestoreState replaces the peer's own evidence with st. Caches (synced
 // lists, examiner history) are left empty — they refill from the network.
+// A rating of the peer itself, which snapshots written before RateUser
+// refused self-ratings may hold, is dropped.
 func (p *Peer) RestoreState(st *State) error {
 	if st == nil {
 		return fault.Terminal(fmt.Errorf("peer: nil state"))
@@ -140,6 +142,9 @@ func (p *Peer) RestoreState(st *State) error {
 	}
 	rating := make(map[identity.PeerID]float64, len(st.Ratings))
 	for target, v := range st.Ratings {
+		if target == p.ID() {
+			continue
+		}
 		if v < 0 || v > 1 {
 			return fault.Terminal(fmt.Errorf("peer: restored rating %v outside [0,1]", v))
 		}

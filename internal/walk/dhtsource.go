@@ -121,12 +121,18 @@ type Fetcher interface {
 }
 
 // DHTSource serves TM rows fetched through the DHT, the decentralized
-// twin of LocalSource. Fetches are serialized under one mutex together
-// with an LRU row cache: walk workers hitting the same hot rows (Zipf
-// graphs concentrate mass quickly) pay one network fetch per distinct
-// row per cache generation, and serialization means the estimator's
-// byte-reproducibility only needs row *content* to be stable, which the
-// epoch pin guarantees.
+// twin of LocalSource. The estimator asks it for each distinct row once
+// per estimate, level by level in ascending user order, one call at a
+// time. That fixed order keeps a fault schedule drawn in call order
+// (chaos.Chaos) reproducible, and the estimate's bytes then depend only
+// on row *content*, which the epoch pin keeps stable. Fetches are
+// deliberately not concurrent: on a 2-vCPU host, 2 to 16 fetches in
+// flight per level were no faster than one (the ring's nodes share the
+// same CPUs), 16 in flight opened extra TCP connections, and any
+// concurrency made a chaos run's fault schedule differ between runs.
+// The mutex guards an LRU row cache, which now serves only repeat
+// estimates within one epoch (SetEpoch empties it); with one caller at a
+// time it is never contended.
 type DHTSource struct {
 	fetcher Fetcher
 	n       int

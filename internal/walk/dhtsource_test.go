@@ -14,7 +14,7 @@ import (
 
 // ringSource publishes tm's rows into a fresh in-memory ring and returns
 // a DHTSource reading them back through a non-publishing node.
-func ringSource(t *testing.T, tm *sparse.CSR, epoch uint64) *DHTSource {
+func ringSource(t testing.TB, tm *sparse.CSR, epoch uint64) *DHTSource {
 	t.Helper()
 	ring, err := dht.NewRing(8, nil)
 	if err != nil {

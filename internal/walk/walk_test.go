@@ -114,39 +114,50 @@ func TestDanglingRowsLoseMass(t *testing.T) {
 	}
 }
 
+// A failing row aborts the estimate at its level: the error names the
+// level and the lowest failing user, keeps that row's fault class, and
+// no Row call follows the failing one — the same at one CPU and at four,
+// with more walks than one scheduling block.
 func TestEstimateAbortsOnRowError(t *testing.T) {
-	rowErr := fault.Unreachable(errors.New("row store down"))
-	src := &stubSource{n: 4, fail: map[int]error{2: rowErr}}
-	est, err := New(src, Config{Walks: 500, Depth: 3, Seed: 3})
+	// User 0 fans out to users 1–6, and each of them leads back to 0, so
+	// level 1 stands on six users; 3 and 5 fail, with different classes.
+	fan := make([]map[int]float64, 7)
+	fan[0] = map[int]float64{1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1}
+	for u := 1; u < 7; u++ {
+		fan[u] = map[int]float64{0: 1}
+	}
+	local, err := NewLocalSource(sparse.FreezeNormalized(7, fan))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := est.Estimate(0)
-	if got != nil {
-		t.Fatalf("aborted estimate must return nil, got %v", got)
+	rowErr := fault.Unreachable(errors.New("row store down"))
+	const wantErr = "walk: step 1 at user 3: row store down"
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		src := &recordingSource{inner: local, fail: map[int]error{
+			3: rowErr,
+			5: fault.Terminal(errors.New("row corrupt")),
+		}}
+		est, err := New(src, Config{Walks: 500, Depth: 3, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := est.Estimate(0)
+		if got != nil {
+			t.Fatalf("GOMAXPROCS=%d: aborted estimate must return nil, got %v", procs, got)
+		}
+		if err == nil || err.Error() != wantErr {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want %q", procs, err, wantErr)
+		}
+		if !errors.Is(err, rowErr) || !fault.Retryable(err) {
+			t.Fatalf("GOMAXPROCS=%d: err = %v must wrap the row error and stay retryable", procs, err)
+		}
+		if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(src.calls, want) {
+			t.Fatalf("GOMAXPROCS=%d: Row calls %v, want %v (none after the failing row)", procs, src.calls, want)
+		}
 	}
-	if !errors.Is(err, rowErr) {
-		t.Fatalf("err = %v, want the row error preserved", err)
-	}
-	if !fault.Retryable(err) {
-		t.Fatalf("err = %v must keep its retryable classification", err)
-	}
-}
-
-// stubSource serves chain4-shaped rows with injectable per-user failures.
-type stubSource struct {
-	n    int
-	fail map[int]error
-}
-
-func (s *stubSource) N() int { return s.n }
-
-func (s *stubSource) Row(_ obs.SpanContext, user int) ([]int32, []float64, error) {
-	if err := s.fail[user]; err != nil {
-		return nil, nil, err
-	}
-	next := int32((user + 1) % s.n)
-	return []int32{next}, []float64{1}, nil
 }
 
 // The determinism contract: a fixed (seed, walks, depth, source) yields a
