@@ -136,13 +136,15 @@ sim:
 # package: the one-shard crash suite (torn and garbage tails, snapshot
 # fallback, WAL truncation at every byte offset) and per-shard recovery.
 # The incremental rebuild suite (row store and TM patch against the map
-# reference builders at K = 1 and 3) and the store's expiry bound run at
-# -cpu 1,4: four procs reach the patch kernel's parallel path.
+# reference builders at K = 1 and 3, and the kept evaluator-list
+# contract), the store's expiry bound and shard-count invariance run at
+# -cpu 1,4: four procs reach the patch kernel's parallel path, and at
+# K = 8 shard workers race for the same file's kept list.
 shard:
 	$(GO) test -race -count=2 -run 'Shard|WithShards|MirrorShards|SystemWithMetrics|EngineObserverCounts|MetricsEndpoint' \
 		mdrep mdrep/internal/core mdrep/internal/massim mdrep/cmd/mdrep-peer
 	$(GO) test -race -count=2 -cpu 1,4 \
-		-run 'Incremental|CachedTM|NoOpRebuilds|HeldTM|PatchGOMAXPROCS|RestoredEngine|StoreExpired|WeightedSum' \
+		-run 'Incremental|CachedTM|NoOpRebuilds|HeldTM|PatchGOMAXPROCS|RestoredEngine|StoreExpired|WeightedSum|ShardCountInvariance' \
 		mdrep/internal/core mdrep/internal/eval mdrep/internal/sparse
 	$(GO) test -race -count=2 mdrep/internal/journal
 
@@ -172,7 +174,7 @@ bench:
 # run down, so min-of-N damps the noise a single long run cannot.
 # Five repeats, not three: fsync-bound and sub-microsecond benchmarks
 # still flapped past the 15% gate run-to-run at min-of-3 on 1-CPU hosts.
-BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate|BenchmarkWalkEstimateDHT|BenchmarkTCPRoundTrip|BenchmarkPeerSync|BenchmarkPeerTrustRow
+BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkShardedIngest|BenchmarkWalkEstimate|BenchmarkWalkEstimateDHT|BenchmarkTCPRoundTrip|BenchmarkPeerSync|BenchmarkPeerTrustRow
 BENCH_COUNT := 5
 BENCH_TIME  := 0.5s
 

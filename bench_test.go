@@ -11,6 +11,7 @@ package mdrep_test
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -965,5 +966,110 @@ func BenchmarkShardedRebuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkShardedIngest is the core stage of durable ingest without the
+// journal: a two-shard engine over 2,000 peers, each evaluating 4 of
+// 2,000 library files (alternately by vote and implicitly) with 2
+// downloads and 2 ratings, then per op one 64-event batch of 70% votes,
+// 20% implicit evaluations and 10% ratings on that library, a TM
+// rebuild, one RM row and one file verdict. Events overwrite the
+// library, so the op cost stays flat whatever b.N is.
+func BenchmarkShardedIngest(b *testing.B) {
+	const (
+		n, k, files, perUser = 2000, 2, 2000, 4
+		batchLen, batches    = 64, 256
+	)
+	rng := sim.NewRNG(21)
+	fileID := make([]eval.FileID, files)
+	for f := range fileID {
+		fileID[f] = eval.FileID(fmt.Sprintf("%016x", rng.Uint64()))
+	}
+	lib := make([][]int, n)
+	evalBy := make([][]int, files)
+	for u := range lib {
+		for len(lib[u]) < perUser {
+			if f := rng.Intn(files); !slices.Contains(lib[u], f) {
+				lib[u] = append(lib[u], f)
+				evalBy[f] = append(evalBy[f], u)
+			}
+		}
+	}
+	eng, err := core.NewSharded(n, k, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	t0 := time.Hour
+	var preload []core.Event
+	for u, fs := range lib {
+		for i, f := range fs {
+			kind := core.EventVote
+			if i%2 == 1 {
+				kind = core.EventSetImplicit
+			}
+			preload = append(preload, core.Event{Kind: kind, I: u, File: fileID[f], Value: rng.Float64(), Time: t0})
+		}
+		for i := 0; i < 2; i++ {
+			f := fs[rng.Intn(perUser)]
+			if up := evalBy[f][rng.Intn(len(evalBy[f]))]; up != u {
+				preload = append(preload, core.Event{Kind: core.EventDownload, I: u, J: up, File: fileID[f], Size: 1 << 20, Time: t0})
+			}
+			if v := rng.Intn(n); v != u {
+				preload = append(preload, core.Event{Kind: core.EventRateUser, I: u, J: v, Value: rng.Float64()})
+			}
+		}
+	}
+	if err := eng.ApplyBatch(preload); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := eng.TM(t0); err != nil {
+		b.Fatal(err)
+	}
+	type op struct {
+		evs      []core.Event
+		q, qFile int
+	}
+	ops := make([]op, batches)
+	for i := range ops {
+		for len(ops[i].evs) < batchLen {
+			u := rng.Intn(n)
+			f := lib[u][rng.Intn(perUser)]
+			switch r := rng.Float64(); {
+			case r < 0.7:
+				ops[i].evs = append(ops[i].evs, core.Event{Kind: core.EventVote, I: u, File: fileID[f], Value: rng.Float64()})
+			case r < 0.9:
+				ops[i].evs = append(ops[i].evs, core.Event{Kind: core.EventSetImplicit, I: u, File: fileID[f], Value: rng.Float64()})
+			default:
+				if v := rng.Intn(n); v != u {
+					ops[i].evs = append(ops[i].evs, core.Event{Kind: core.EventRateUser, I: u, J: v, Value: rng.Float64()})
+				}
+			}
+		}
+		ops[i].q = rng.Intn(n)
+		ops[i].qFile = lib[ops[i].q][rng.Intn(perUser)]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := ops[i%batches]
+		now := t0 + time.Duration(i+1)*time.Second
+		for j := range o.evs {
+			o.evs[j].Time = now
+		}
+		if err := eng.ApplyBatch(o.evs); err != nil {
+			b.Fatal(err)
+		}
+		tm, err := eng.TM(now)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.ReputationsFromTM(tm, o.q); err != nil {
+			b.Fatal(err)
+		}
+		owners := eng.CollectOwnerEvaluations(fileID[o.qFile], evalBy[o.qFile], now)
+		if _, err := eng.JudgeFileFromTM(tm, o.q, owners); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"mdrep/internal/eval"
@@ -16,12 +15,14 @@ import (
 // download volumes and user ratings — and produces trust matrices and
 // reputations.
 //
-// Engine is the evidence store and the row math of the trust core. It
-// caches nothing: BuildTM computes every row of FM, DM and UM through
-// the row functions (fmRow, dmRow, umRow) and integrates them with the
-// Eq. (7) kernel. Sharded keeps its evidence in an Engine and rebuilds
-// only the rows events dirtied, through the same functions and the same
-// kernel, so the bare Engine is the from-scratch reference that the
+// Engine is the evidence store and the row math of the trust core.
+// BuildTM computes every row of FM, DM and UM through the row functions
+// (fmRow, dmRow, umRow) and integrates them with the Eq. (7) kernel.
+// Sharded keeps its evidence in an Engine and rebuilds only the rows
+// events dirtied, through the same functions and the same kernel. The
+// evaluator index keeps each file's live-evaluator list across
+// Sharded's rebuilds, but BuildTM drops every list before it starts,
+// so the bare Engine is the from-scratch reference that the
 // shard-count invariance tests and the journal recovery ground truths
 // compare against.
 //
@@ -39,10 +40,11 @@ type Engine struct {
 	userTrust []map[int]float64
 	// blacklist[i][j] forces UT_ij to zero regardless of later ratings.
 	blacklist []map[int]struct{}
-	// evaluators is the inverted index file → peers with a live
-	// evaluation; it keeps FM construction proportional to actual
-	// co-evaluation instead of O(n²). The index is stripe-locked so the
-	// sharded facade's per-shard writers can share it.
+	// evaluators is the inverted index file → peers with an
+	// evaluation, with each file's kept live-evaluator list; it keeps
+	// FM construction proportional to actual co-evaluation instead of
+	// O(n²). The index is stripe-locked so the sharded facade's
+	// per-shard writers can share it.
 	evaluators *evalIndex
 }
 
@@ -134,62 +136,57 @@ const (
 type markFunc func(dim int, row int)
 
 // dirtyEvaluationTo records that peer p's evaluation of file f changed:
-// p's DM row re-weights (Eq. 4 uses E_ik), and the FM rows of every
-// co-evaluator of f shift (FT is pairwise over shared files, and the
-// deterministic evaluator sample of a capped file can change membership).
+// p's DM row re-weights (Eq. 4 uses E_ik), f's live-evaluator list is
+// stale, and the FM rows of every co-evaluator of f shift (FT is
+// pairwise over shared files, and the deterministic evaluator sample of
+// a capped file can change membership).
 func (e *Engine) dirtyEvaluationTo(p int, f eval.FileID, mark markFunc) {
 	mark(dimDM, p)
 	mark(dimFM, p)
-	e.evaluators.forEachPeer(f, func(j int) { mark(dimFM, j) })
+	e.evaluators.dropList(f, func(j int) { mark(dimFM, j) })
 }
 
 // --- row construction -------------------------------------------------------
 
-// fileEvaluators is the per-build memo of one file's live, deterministically
-// sampled evaluator list: peers ascending, values parallel.
-type fileEvaluators struct {
-	peers []int
-	vals  []float64
-}
-
-// liveEvaluators computes (and memoises) file f's live evaluators at now,
-// sorted by peer index and strided down to the MaxEvaluatorsPerFile cap —
-// exactly the list the reference full rebuild pairs up, so per-row
-// recomputation reproduces its float arithmetic bit for bit.
-func (e *Engine) liveEvaluators(f eval.FileID, now time.Duration, memo map[eval.FileID]*fileEvaluators) *fileEvaluators {
-	if fe, ok := memo[f]; ok {
-		return fe
-	}
-	var live []int
-	var vals []float64
-	e.evaluators.forEachPeer(f, func(p int) {
-		if v, ok := e.stores[p].Get(f, now); ok {
+// liveEvaluators returns file f's live evaluators at now, sorted by peer
+// index and strided down to the MaxEvaluatorsPerFile cap — exactly the
+// list the reference full rebuild pairs up, so per-row recomputation
+// reproduces its float arithmetic bit for bit. The index keeps the list
+// across builds and derives it here only when it is stale.
+func (e *Engine) liveEvaluators(f eval.FileID, now time.Duration) fileEvaluators {
+	return e.evaluators.list(f, func(peers map[int]struct{}, dst *fileEvaluators) {
+		live := dst.peers[:0]
+		for p := range peers {
 			live = append(live, p)
-			vals = append(vals, v)
 		}
+		slices.Sort(live)
+		kept, vals := live[:0], dst.vals[:0]
+		for _, p := range live {
+			if v, ok := e.stores[p].Get(f, now); ok {
+				kept = append(kept, p)
+				vals = append(vals, v)
+			}
+		}
+		if maxEval := e.cfg.MaxEvaluatorsPerFile; maxEval > 0 && len(kept) > maxEval {
+			// Deterministic sample: keep a strided subset of the ordered
+			// evaluators so the kept set is stable across rebuilds and
+			// spans the index range.
+			stride := float64(len(kept)) / float64(maxEval)
+			for k := 0; k < maxEval; k++ {
+				i := int(float64(k) * stride)
+				kept[k], vals[k] = kept[i], vals[i]
+			}
+			kept, vals = kept[:maxEval], vals[:maxEval]
+		}
+		dst.peers, dst.vals = kept, vals
 	})
-	sort.Sort(&evaluatorsByPeer{peers: live, vals: vals})
-	if maxEval := e.cfg.MaxEvaluatorsPerFile; maxEval > 0 && len(live) > maxEval {
-		// Deterministic sample: keep a strided subset of the ordered
-		// evaluators so the kept set is stable across rebuilds and spans
-		// the index range.
-		stride := float64(len(live)) / float64(maxEval)
-		for k := 0; k < maxEval; k++ {
-			i := int(float64(k) * stride)
-			live[k], vals[k] = live[i], vals[i]
-		}
-		live, vals = live[:maxEval], vals[:maxEval]
-	}
-	fe := &fileEvaluators{peers: live, vals: vals}
-	memo[f] = fe
-	return fe
 }
 
-// pairScratch is one rebuild worker's dense FM pair accumulator: per
-// co-evaluator j the running Σ|E_ik − E_jk| and the co-evaluated count,
-// with a generation-stamped touched set, so clearing between rows costs
-// O(co-evaluators), not O(n). It is n wide: allocate one per worker and
-// rebuild, never per row block.
+// pairScratch is a dense FM pair accumulator: per co-evaluator j the
+// running Σ|E_ik − E_jk| and the co-evaluated count, with a
+// generation-stamped touched set, so clearing between rows costs
+// O(co-evaluators), not O(n). It is n wide: each Sharded shard keeps
+// one across rebuilds, and a bare build allocates one.
 type pairScratch struct {
 	sum     []float64
 	count   []int32
@@ -202,17 +199,27 @@ func newPairScratch(n int) *pairScratch {
 	return &pairScratch{sum: make([]float64, n), count: make([]int32, n), stamp: make([]uint32, n)}
 }
 
+// next starts a row. When the generation counter wraps to 0 it clears
+// every stamp, so a stamp left 2³² rows ago cannot pass for this row's.
+func (sc *pairScratch) next() {
+	sc.gen++
+	if sc.gen == 0 {
+		clear(sc.stamp)
+		sc.gen = 1
+	}
+	sc.touched = sc.touched[:0]
+}
+
 // fmRow computes row i of FM (Eqs. 2–3) as a frozen, normalised row:
 // FT_ij = 1 − (1/m)·Σ_{k∈F} |E_ik − E_jk| over the co-evaluated set F,
 // kept where positive, then divided by the row sum. Files iterate in
 // ascending FileID order, so each pair's sum accumulates in the order the
 // reference full rebuild uses, and the normalisation runs over ascending
 // columns: the row is bit-identical to buildFMRef's.
-func (e *Engine) fmRow(i int, now time.Duration, memo map[eval.FileID]*fileEvaluators, sc *pairScratch) sparse.Row {
-	sc.gen++
-	sc.touched = sc.touched[:0]
+func (e *Engine) fmRow(i int, now time.Duration, sc *pairScratch) sparse.Row {
+	sc.next()
 	for _, f := range e.stores[i].Files(now) {
-		fe := e.liveEvaluators(f, now, memo)
+		fe := e.liveEvaluators(f, now)
 		pos := slices.Index(fe.peers, i)
 		if pos < 0 {
 			continue // i evaluated f but fell out of the deterministic sample
@@ -284,15 +291,13 @@ func sortedKeys[V any](m map[int]V) []int32 {
 	return out
 }
 
-// rowFunc returns dimension d's row function at now for one rebuild
-// worker. Each worker needs its own: FM's evaluator memo and pair
-// scratch are not safe for concurrent use.
-func (e *Engine) rowFunc(d int, now time.Duration) func(i int) sparse.Row {
+// rowFunc returns dimension d's row function at now. FM rows pair up
+// in sc, which is not safe for concurrent use: each rebuild worker
+// passes its own.
+func (e *Engine) rowFunc(d int, now time.Duration, sc *pairScratch) func(i int) sparse.Row {
 	switch d {
 	case dimFM:
-		memo := make(map[eval.FileID]*fileEvaluators)
-		sc := newPairScratch(e.n)
-		return func(i int) sparse.Row { return e.fmRow(i, now, memo, sc) }
+		return func(i int) sparse.Row { return e.fmRow(i, now, sc) }
 	case dimDM:
 		return func(i int) sparse.Row { return e.dmRow(i, now) }
 	default:
@@ -392,15 +397,24 @@ func (e *Engine) Blacklist(i, j int) error {
 // lacks one of the dimensions; that is intentional — missing evidence
 // must not be re-weighted into false confidence.
 func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
+	return e.integrate(nil, allRows(e.n), e.buildDims(now))
+}
+
+// buildDims computes every row of FM, DM and UM at now. It drops every
+// kept evaluator list first, so a bare build reuses nothing from an
+// earlier build at another time.
+func (e *Engine) buildDims(now time.Duration) [3][]sparse.Row {
+	e.evaluators.dropLists()
+	sc := newPairScratch(e.n)
 	var dims [3][]sparse.Row
 	for d := range dims {
-		rowFn := e.rowFunc(d, now)
+		rowFn := e.rowFunc(d, now, sc)
 		dims[d] = make([]sparse.Row, e.n)
 		for i := range dims[d] {
 			dims[d][i] = rowFn(i)
 		}
 	}
-	return e.integrate(nil, allRows(e.n), dims)
+	return dims
 }
 
 // BuildRM computes the full reputation matrix RM = TM^n (Eq. 8).
@@ -469,17 +483,4 @@ func (e *Engine) compactEvidence(now time.Duration, owns func(p int) bool, mark 
 		_, ok := e.stores[p].Get(f, now)
 		return !ok
 	})
-}
-
-// evaluatorsByPeer sorts parallel (peer, value) slices by peer index.
-type evaluatorsByPeer struct {
-	peers []int
-	vals  []float64
-}
-
-func (s *evaluatorsByPeer) Len() int           { return len(s.peers) }
-func (s *evaluatorsByPeer) Less(i, j int) bool { return s.peers[i] < s.peers[j] }
-func (s *evaluatorsByPeer) Swap(i, j int) {
-	s.peers[i], s.peers[j] = s.peers[j], s.peers[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }

@@ -18,15 +18,11 @@ func mustEngine(t *testing.T, n int, cfg Config) *Engine {
 	return e
 }
 
-// dimCSR builds every row of dimension d at now through the row
-// function and freezes the rows into a CSR.
+// dimCSR builds every row of dimension d at now through a bare build
+// and freezes the rows into a CSR.
 func dimCSR(t *testing.T, e *Engine, d int, now time.Duration) *sparse.CSR {
 	t.Helper()
-	rows := make([]sparse.Row, e.n)
-	rowFn := e.rowFunc(d, now)
-	for i := range rows {
-		rows[i] = rowFn(i)
-	}
+	rows := e.buildDims(now)[d]
 	c, err := sparse.WeightedSum(nil, e.n, allRows(e.n), []sparse.Weighted{{Scale: 1, Rows: rows}})
 	if err != nil {
 		t.Fatal(err)
@@ -163,21 +159,26 @@ func TestBuildFMDisjointEvaluationsNoEdge(t *testing.T) {
 	}
 }
 
+// TestBuildFMWindowExpiry builds one bare engine at three times with no
+// event in between. At 90 min only peer 2's vote is live, so its row
+// still reads file a: a build that reused the list derived at 30 min
+// would pair it with the expired votes of peers 0 and 1.
 func TestBuildFMWindowExpiry(t *testing.T) {
 	cfg := fmOnlyConfig()
 	cfg.Window = time.Hour
-	e := mustEngine(t, 2, cfg)
-	if err := e.Vote(0, "a", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Vote(1, "a", 1, 0); err != nil {
-		t.Fatal(err)
+	e := mustEngine(t, 3, cfg)
+	for p, at := range []time.Duration{0, 0, 80 * time.Minute} {
+		if err := e.Vote(p, "a", 1, at); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if fm := dimCSR(t, e, dimFM, 30*time.Minute); fm.Get(0, 1) == 0 {
 		t.Fatal("live co-evaluation produced no edge")
 	}
-	if fm := dimCSR(t, e, dimFM, 3*time.Hour); fm.NNZ() != 0 {
-		t.Fatal("expired evaluations still produce FM edges")
+	for _, at := range []time.Duration{90 * time.Minute, 3 * time.Hour} {
+		if fm := dimCSR(t, e, dimFM, at); fm.NNZ() != 0 {
+			t.Fatalf("expired evaluations still produce FM edges at %v", at)
+		}
 	}
 }
 

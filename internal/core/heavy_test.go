@@ -15,7 +15,9 @@ import (
 // TestShardedMillionPeerBuild is the memory acceptance experiment for
 // the sharded engine: build a 1M-peer, 8-shard engine, ingest a sparse
 // evidence load through group-commit batches, build TM once, apply one
-// 64-vote batch and time the incremental rebuild, and report heap. Gated behind MDREP_HEAVY=1 — it allocates hundreds of MB
+// 64-vote batch and time the incremental rebuild, and report heap after
+// GC twice: with the engine and the final TM live, then with the final
+// TM alone. Gated behind MDREP_HEAVY=1 — it allocates hundreds of MB
 // and runs for minutes, so it stays out of tier-1; EXPERIMENTS.md
 // records the measured numbers.
 func TestShardedMillionPeerBuild(t *testing.T) {
@@ -97,14 +99,18 @@ func TestShardedMillionPeerBuild(t *testing.T) {
 	}
 	full = nil
 
+	var withEngine, ms runtime.MemStats
 	runtime.GC()
-	var ms runtime.MemStats
+	runtime.ReadMemStats(&withEngine)
+	runtime.KeepAlive(s)
+	runtime.GC()
 	runtime.ReadMemStats(&ms)
 	t.Logf("n=%d k=%d: %d events ingested in %v (%.0f ev/s), TM build %v, TM nnz %d; "+
-		"64-vote rebuild %v (recomputed rows fm %d dm %d um %d, %d TM rows changed); heap %.1f MB",
+		"64-vote rebuild %v (recomputed rows fm %d dm %d um %d, %d TM rows changed); "+
+		"heap %.1f MB with the engine, %.1f MB with the final TM alone",
 		n, k, events, ingest, float64(events)/ingest.Seconds(), build, tm.NNZ(),
 		patch, recomputed["fm"], recomputed["dm"], recomputed["um"], changed,
-		float64(ms.HeapAlloc)/(1<<20))
+		float64(withEngine.HeapAlloc)/(1<<20), float64(ms.HeapAlloc)/(1<<20))
 	if tm.NNZ() == 0 {
 		t.Fatal("million-peer TM is empty")
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -155,7 +157,305 @@ func TestIncrementalMatchesReference(t *testing.T) {
 			checkAllDims(t, s, now+time.Hour, fmt.Sprintf("trial %d post", trial))
 			checkAllDims(t, s, now+48*time.Hour, fmt.Sprintf("trial %d drained", trial))
 		}
+		// Ingest-shaped trials: 200 peers evaluating 4 of 200 files each,
+		// then small batches at 1 s steps, so most files go untouched
+		// between builds and their kept lists are reused; the window
+		// expires the preload mid-run. One run caps the evaluators.
+		for _, maxEval := range []int{0, 3} {
+			const n, files, steps = 200, 200, 40
+			r := rng.DeriveStream(fmt.Sprintf("ingest-%d", maxEval))
+			cfg := DefaultConfig()
+			cfg.Window = 20 * time.Second
+			cfg.MaxEvaluatorsPerFile = maxEval
+			s := mustSharded(t, n, k, cfg)
+			lib := newIngestLibrary(r, n, files)
+			if err := s.ApplyBatch(lib.preload(r, 0)); err != nil {
+				t.Fatal(err)
+			}
+			checkAllDims(t, s, 0, fmt.Sprintf("ingest cap %d preload", maxEval))
+			before := derivedLists(s)
+			for step := 1; step <= steps; step++ {
+				now := time.Duration(step) * time.Second
+				if err := s.ApplyBatch(lib.batch(r, 16, now)); err != nil {
+					t.Fatal(err)
+				}
+				checkAllDims(t, s, now, fmt.Sprintf("ingest cap %d step %d", maxEval, step))
+			}
+			if d := derivedLists(s) - before; d >= steps*files/2 {
+				t.Fatalf("ingest cap %d: %d lists derived over %d builds of %d files, want most reused", maxEval, d, steps, files)
+			}
+		}
 	})
+}
+
+// ingestLibrary is the evidence shape of durable ingest: every peer
+// evaluates 4 files of a shared library, and batches revisit those
+// evaluations and 2 rated peers each.
+type ingestLibrary struct {
+	files []eval.FileID
+	lib   [][]int // library files each peer evaluates, distinct
+	rated [][]int // peers each peer rates
+}
+
+func newIngestLibrary(r *sim.RNG, n, files int) *ingestLibrary {
+	l := &ingestLibrary{files: make([]eval.FileID, files), lib: make([][]int, n), rated: make([][]int, n)}
+	for f := range l.files {
+		l.files[f] = eval.FileID(fmt.Sprintf("lib-%03d", f))
+	}
+	for p := 0; p < n; p++ {
+		for len(l.lib[p]) < 4 {
+			if f := r.Intn(files); !slices.Contains(l.lib[p], f) {
+				l.lib[p] = append(l.lib[p], f)
+			}
+		}
+		for len(l.rated[p]) < 2 {
+			if q := r.Intn(n); q != p {
+				l.rated[p] = append(l.rated[p], q)
+			}
+		}
+	}
+	return l
+}
+
+// preload evaluates every peer's library at t, alternately by vote and
+// implicitly, with 2 downloads from other peers and the 2 ratings.
+func (l *ingestLibrary) preload(r *sim.RNG, t time.Duration) []Event {
+	var evs []Event
+	for p, fs := range l.lib {
+		for k, f := range fs {
+			kind := EventVote
+			if k%2 == 1 {
+				kind = EventSetImplicit
+			}
+			evs = append(evs, Event{Kind: kind, I: p, File: l.files[f], Value: r.Float64(), Time: t})
+		}
+		for k := 0; k < 2; k++ {
+			up := (p + 1 + r.Intn(len(l.lib)-1)) % len(l.lib)
+			evs = append(evs, Event{Kind: EventDownload, I: p, J: up, File: l.files[fs[k]], Size: 1 << 20, Time: t})
+		}
+		for _, q := range l.rated[p] {
+			evs = append(evs, Event{Kind: EventRateUser, I: p, J: q, Value: r.Float64()})
+		}
+	}
+	return evs
+}
+
+// batch returns m events at t on the library: 70% votes, 20% implicit
+// evaluations, 10% ratings.
+func (l *ingestLibrary) batch(r *sim.RNG, m int, t time.Duration) []Event {
+	evs := make([]Event, 0, m)
+	for len(evs) < m {
+		p := r.Intn(len(l.lib))
+		f := l.files[l.lib[p][r.Intn(4)]]
+		switch x := r.Float64(); {
+		case x < 0.7:
+			evs = append(evs, Event{Kind: EventVote, I: p, File: f, Value: r.Float64(), Time: t})
+		case x < 0.9:
+			evs = append(evs, Event{Kind: EventSetImplicit, I: p, File: f, Value: r.Float64(), Time: t})
+		default:
+			evs = append(evs, Event{Kind: EventRateUser, I: p, J: l.rated[p][r.Intn(2)], Value: r.Float64()})
+		}
+	}
+	return evs
+}
+
+// derivedLists returns how many evaluator lists s has derived.
+func derivedLists(s *Sharded) int {
+	x := s.eng.evaluators
+	total := 0
+	for i := range x.stripes {
+		st := &x.stripes[i]
+		st.mu.Lock()
+		total += st.derived
+		st.mu.Unlock()
+	}
+	return total
+}
+
+// liveFiles returns the files in want with a live evaluation at now.
+func liveFiles(s *Sharded, want map[eval.FileID]bool, now time.Duration) map[eval.FileID]bool {
+	out := make(map[eval.FileID]bool)
+	for _, st := range s.eng.stores {
+		for _, f := range st.Files(now) {
+			if want == nil || want[f] {
+				out[f] = true
+			}
+		}
+	}
+	return out
+}
+
+// TestIncrementalFileListContract pins when a rebuild derives a file's
+// live-evaluator list: at most once per rebuild, only for files that
+// had an evaluation event or an expiry since the last rebuild, and only
+// when some dirty row reads it, so a file whose last live evaluation
+// expired is not derived. A rewind and a RestoreShard derive every file
+// a row reads. Each build is also checked against the references.
+func TestIncrementalFileListContract(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			forShards(t, testFileListContract)
+		})
+	}
+}
+
+func testFileListContract(t *testing.T, k int) {
+	const n, files = 120, 120
+	r := sim.NewRNG(229)
+	cfg := DefaultConfig()
+	cfg.Window = time.Minute
+	s := mustSharded(t, n, k, cfg)
+	lib := newIngestLibrary(r, n, files)
+	// derives builds at now and fails unless the build derived exactly
+	// the lists of want.
+	derives := func(now time.Duration, want map[eval.FileID]bool, label string) {
+		t.Helper()
+		before := derivedLists(s)
+		checkAllDims(t, s, now, label)
+		if got := derivedLists(s) - before; got != len(want) {
+			t.Fatalf("%s: derived %d lists, want %d", label, got, len(want))
+		}
+	}
+	// named returns the files the evaluation events of evs name.
+	named := func(evs []Event) map[eval.FileID]bool {
+		out := make(map[eval.FileID]bool)
+		for _, ev := range evs {
+			if ev.Kind == EventVote || ev.Kind == EventSetImplicit {
+				out[ev.File] = true
+			}
+		}
+		return out
+	}
+
+	if err := s.ApplyBatch(lib.preload(r, 0)); err != nil {
+		t.Fatal(err)
+	}
+	derives(0, liveFiles(s, nil, 0), "first build")
+
+	// An ingest-shaped batch with no expiry derives exactly the files
+	// its votes and implicit evaluations name.
+	batch := lib.batch(r, 64, time.Second)
+	if err := s.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	renewed := named(batch)
+	if len(renewed) == 0 || len(renewed) >= files/2 {
+		t.Fatalf("batch names %d files; the contract needs a minority", len(renewed))
+	}
+	derives(time.Second, renewed, "ingest batch")
+
+	// Ratings and downloads dirty UM and DM rows only.
+	var quiet []Event
+	for p := 0; p < n; p += 7 {
+		q := lib.rated[p][0]
+		quiet = append(quiet,
+			Event{Kind: EventRateUser, I: p, J: q, Value: 0.5},
+			Event{Kind: EventDownload, I: p, J: q, File: lib.files[lib.lib[p][0]], Size: 1 << 10, Time: 2 * time.Second})
+	}
+	if err := s.ApplyBatch(quiet); err != nil {
+		t.Fatal(err)
+	}
+	derives(2*time.Second, nil, "ratings and downloads")
+
+	// The preload expires at 61 s and the batch's evaluations live on:
+	// of the files with an expiry, only those that keep a live
+	// evaluation are derived.
+	expiry := 61 * time.Second
+	expired := make(map[eval.FileID]bool)
+	for _, st := range s.eng.stores {
+		for _, f := range st.ExpiredBetween(2*time.Second, expiry) {
+			expired[f] = true
+		}
+	}
+	kept := liveFiles(s, expired, expiry)
+	for f := range kept {
+		if !renewed[f] {
+			t.Fatalf("file %s is live at %v without a renewal", f, expiry)
+		}
+	}
+	if len(kept) == 0 || len(kept) == len(expired) {
+		t.Fatalf("%d of %d files with an expiry stay live; want some but not all", len(kept), len(expired))
+	}
+	derives(expiry, kept, "expiry")
+	derives(expiry+time.Second, nil, "no change")
+
+	// A rewind and a restore derive every file a row reads.
+	derives(30*time.Second, liveFiles(s, nil, 30*time.Second), "rewind")
+	for si := 0; si < k; si++ {
+		st, err := s.ExportShardState(si)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RestoreShard(si, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	derives(30*time.Second, liveFiles(s, nil, 30*time.Second), "restore")
+}
+
+// TestEvalIndexDropsChangedLists: the index drops a file's list itself
+// when the file's evaluator set changes, by add or by prune, whatever
+// its callers drop.
+func TestEvalIndexDropsChangedLists(t *testing.T) {
+	x := newEvalIndex()
+	derived := 0
+	read := func() []int {
+		return x.list("f", func(peers map[int]struct{}, dst *fileEvaluators) {
+			derived++
+			dst.peers = dst.peers[:0]
+			for p := range peers {
+				dst.peers = append(dst.peers, p)
+			}
+			slices.Sort(dst.peers)
+		}).peers
+	}
+	x.add("f", 1)
+	read()
+	if got := read(); !slices.Equal(got, []int{1}) || derived != 1 {
+		t.Fatalf("fresh list %v after %d derivations, want [1] after 1", got, derived)
+	}
+	x.add("f", 2)
+	if got := read(); !slices.Equal(got, []int{1, 2}) || derived != 2 {
+		t.Fatalf("list %v after add and %d derivations, want [1 2] after 2", got, derived)
+	}
+	x.prune(nil, func(p int, _ eval.FileID) bool { return p == 1 })
+	if got := read(); !slices.Equal(got, []int{2}) || derived != 3 {
+		t.Fatalf("list %v after prune and %d derivations, want [2] after 3", got, derived)
+	}
+}
+
+// TestPairScratchGenerationWrap: a kept pair scratch's uint32
+// generation wraps after 2³² rows. Rows computed across the wrap, from
+// a fresh scratch and from one whose stamps hold generation 1, must
+// equal a bare build's.
+func TestPairScratchGenerationWrap(t *testing.T) {
+	const n = 6
+	e := mustEngine(t, n, fmOnlyConfig())
+	for p := 0; p < n; p++ {
+		for k, f := range []eval.FileID{"a", "b", "c"} {
+			if err := e.Vote(p, f, float64((p*5+k*3)%7)/7, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := e.buildDims(0)[dimFM]
+	for _, warm := range []bool{false, true} {
+		sc := newPairScratch(n)
+		if warm {
+			e.fmRow(0, 0, sc) // stamps row 0's co-evaluators with generation 1
+		}
+		sc.gen = math.MaxUint32
+		for i := range want {
+			got := e.fmRow(i, 0, sc)
+			if len(got.Cols) == 0 || !slices.Equal(got.Cols, want[i].Cols) || !slices.Equal(got.Vals, want[i].Vals) {
+				t.Fatalf("warm=%v: row %d across the wrap = %v, want %v", warm, i, got, want[i])
+			}
+		}
+		if sc.gen != n {
+			t.Fatalf("warm=%v: generation %d after %d rows from the wrap, want %d", warm, sc.gen, n, n)
+		}
+	}
 }
 
 // TestIncrementalExpiryWithoutEvents pins the pure-time invalidation path:

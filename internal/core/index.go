@@ -13,6 +13,15 @@ import (
 // one atomic each, which keeps the two code paths literally identical —
 // the foundation of the shard-count invariance guarantee.
 //
+// Each file's entry also keeps the file's live-evaluator list, the one
+// FM rows pair up, from one rebuild to the next. One rule drops it:
+// whatever dirties the FM rows of the file's evaluators — a vote, an
+// implicit evaluation, an expiry between builds, compaction — marks it
+// stale under the stripe lock, as do index add and prune and every case
+// that makes a rebuild a full build (the first build, time moving
+// backwards, a shard restore, every bare Engine build). A stale list is
+// derived again, at most once per rebuild, when a row first reads it.
+//
 // Lock ordering: stripe mutexes are acquired below shard data locks and
 // above shard dirty locks (see sharded.go); a stripe callback may mark
 // dirty rows but must never acquire a shard data lock.
@@ -27,13 +36,34 @@ const indexStripes = 64
 
 type indexStripe struct {
 	mu    sync.Mutex
-	files map[eval.FileID]map[int]struct{}
+	files map[eval.FileID]*fileEntry
+	// derived counts the lists derived in this stripe, for the list
+	// contract tests.
+	derived int
+}
+
+// fileEntry is one file's index entry.
+type fileEntry struct {
+	// peers holds every peer with an evaluation of the file, live or
+	// expired but not yet compacted.
+	peers map[int]struct{}
+	// live is the kept list, valid only while fresh.
+	live  fileEvaluators
+	fresh bool
+}
+
+// fileEvaluators is one file's live, deterministically sampled
+// evaluator list at the time it was derived: peers ascending, values
+// parallel.
+type fileEvaluators struct {
+	peers []int
+	vals  []float64
 }
 
 func newEvalIndex() *evalIndex {
 	x := &evalIndex{}
 	for i := range x.stripes {
-		x.stripes[i].files = make(map[eval.FileID]map[int]struct{})
+		x.stripes[i].files = make(map[eval.FileID]*fileEntry)
 	}
 	return x
 }
@@ -52,28 +82,69 @@ func (x *evalIndex) stripeOf(f eval.FileID) *indexStripe {
 	return &x.stripes[h&(indexStripes-1)]
 }
 
-// add records that peer p holds an evaluation of file f.
+// add records that peer p holds an evaluation of file f, and drops f's
+// list.
 func (x *evalIndex) add(f eval.FileID, p int) {
 	s := x.stripeOf(f)
 	s.mu.Lock()
-	m := s.files[f]
-	if m == nil {
-		m = make(map[int]struct{}, 4)
-		s.files[f] = m
+	ent := s.files[f]
+	if ent == nil {
+		ent = &fileEntry{peers: make(map[int]struct{}, 4)}
+		s.files[f] = ent
 	}
-	m[p] = struct{}{}
+	ent.peers[p] = struct{}{}
+	ent.fresh = false
 	s.mu.Unlock()
 }
 
-// forEachPeer calls fn for every indexed evaluator of f, under the stripe
-// lock. fn must not acquire a shard data lock or touch the index.
-func (x *evalIndex) forEachPeer(f eval.FileID, fn func(p int)) {
+// dropList drops f's list and calls fn for every indexed evaluator of
+// f, under the stripe lock. fn must not acquire a shard data lock or
+// touch the index.
+func (x *evalIndex) dropList(f eval.FileID, fn func(p int)) {
 	s := x.stripeOf(f)
 	s.mu.Lock()
-	for p := range s.files[f] {
-		fn(p)
+	if ent := s.files[f]; ent != nil {
+		ent.fresh = false
+		for p := range ent.peers {
+			fn(p)
+		}
 	}
 	s.mu.Unlock()
+}
+
+// dropLists drops every file's list.
+func (x *evalIndex) dropLists() {
+	for i := range x.stripes {
+		s := &x.stripes[i]
+		s.mu.Lock()
+		for _, ent := range s.files {
+			ent.fresh = false
+		}
+		s.mu.Unlock()
+	}
+}
+
+// list returns f's list, first deriving it under the stripe lock when
+// it is stale: derive fills dst from the file's indexed evaluators,
+// reusing dst's arrays. Lists are read only inside a build, which no
+// mutation runs alongside (a Sharded rebuild holds every shard data
+// lock), so the returned slices stay valid until the build ends; two
+// rebuild workers that need the same stale list serialise here, and
+// the second finds it fresh.
+func (x *evalIndex) list(f eval.FileID, derive func(peers map[int]struct{}, dst *fileEvaluators)) fileEvaluators {
+	s := x.stripeOf(f)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ent := s.files[f]
+	if ent == nil {
+		return fileEvaluators{}
+	}
+	if !ent.fresh {
+		derive(ent.peers, &ent.live)
+		ent.fresh = true
+		s.derived++
+	}
+	return ent.live
 }
 
 // fileCount returns the number of indexed files.
@@ -89,7 +160,8 @@ func (x *evalIndex) fileCount() int {
 }
 
 // prune removes index entries for peers selected by owns whose evaluation
-// of the file is dead per the dead predicate, dropping files whose
+// of the file is dead per the dead predicate, dropping the list of every
+// file it removes a peer from and the entry of every file whose
 // evaluator set empties. A nil owns selects every peer. Removal is
 // per-entry and commutative, so concurrent pruners over disjoint owner
 // sets (per-shard compaction replay) converge to the same index.
@@ -97,16 +169,17 @@ func (x *evalIndex) prune(owns func(p int) bool, dead func(p int, f eval.FileID)
 	for i := range x.stripes {
 		s := &x.stripes[i]
 		s.mu.Lock()
-		for f, peers := range s.files {
-			for p := range peers {
+		for f, ent := range s.files {
+			for p := range ent.peers {
 				if owns != nil && !owns(p) {
 					continue
 				}
 				if dead(p, f) {
-					delete(peers, p)
+					delete(ent.peers, p)
+					ent.fresh = false
 				}
 			}
-			if len(peers) == 0 {
+			if len(ent.peers) == 0 {
 				delete(s.files, f)
 			}
 		}

@@ -43,12 +43,12 @@ func (e *Engine) buildFMRef(now time.Duration) []map[int]float64 {
 		// Collect live evaluators of f.
 		var live []int
 		var vals []float64
-		e.evaluators.forEachPeer(f, func(p int) {
+		for _, p := range e.evaluators.peersOf(f) {
 			if v, ok := snap(p)[f]; ok {
 				live = append(live, p)
 				vals = append(vals, v)
 			}
-		})
+		}
 		sort.Sort(&evaluatorsByPeer{peers: live, vals: vals})
 		if maxEval > 0 && len(live) > maxEval {
 			// Deterministic sample: keep a strided subset of the ordered
@@ -211,4 +211,31 @@ func (x *evalIndex) sortedFiles() []eval.FileID {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
+}
+
+// peersOf returns every indexed evaluator of f, in map order.
+func (x *evalIndex) peersOf(f eval.FileID) []int {
+	s := x.stripeOf(f)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []int
+	if ent := s.files[f]; ent != nil {
+		for p := range ent.peers {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// evaluatorsByPeer sorts parallel (peer, value) slices by peer index.
+type evaluatorsByPeer struct {
+	peers []int
+	vals  []float64
+}
+
+func (s *evaluatorsByPeer) Len() int           { return len(s.peers) }
+func (s *evaluatorsByPeer) Less(i, j int) bool { return s.peers[i] < s.peers[j] }
+func (s *evaluatorsByPeer) Swap(i, j int) {
+	s.peers[i], s.peers[j] = s.peers[j], s.peers[i]
+	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
 }

@@ -84,8 +84,9 @@ type Sharded struct {
 	sobs *ShardedObs
 }
 
-// shard is one partition's locks and dirty-row trackers. The zero-ish
-// state set up by NewSharded has every dimension all-dirty.
+// shard is one partition's locks, dirty-row trackers and rebuild
+// scratch. The zero-ish state set up by NewSharded has every dimension
+// all-dirty.
 type shard struct {
 	// mu guards the owned peers' evidence in the shared engine.
 	mu sync.Mutex
@@ -93,6 +94,10 @@ type shard struct {
 	dirtyMu sync.Mutex
 	dirty   [3]map[int]struct{}
 	all     [3]bool
+	// pairs is the FM pair scratch of the shard's rebuild worker, n
+	// wide, allocated at the shard's first rebuild and kept; guarded by
+	// rebuildMu.
+	pairs *pairScratch
 }
 
 // shardedTM is the lock-free TM cache entry.
@@ -418,11 +423,12 @@ func (s *Sharded) TM(now time.Duration) (*sparse.CSR, error) {
 // data lock (ascending), it reconciles virtual time, drains each
 // shard's dirty trackers, recomputes those rows of each dimension per
 // shard in parallel into the row store, and patches TM in the rows some
-// dimension recomputed. The first build, a build at an earlier time and
-// a build after RestoreShard mark every row dirty, which makes them full
-// builds through the same code. Each row's float sequence is that of
-// Engine.BuildTM, so the result is byte-identical for any K and any
-// GOMAXPROCS.
+// dimension recomputed. FM rows read each file's kept live-evaluator
+// list and derive only the stale ones. The first build, a build at an
+// earlier time and a build after RestoreShard mark every row dirty and
+// drop every list, which makes them full builds through the same code.
+// Each row's float sequence is that of Engine.BuildTM, so the result is
+// byte-identical for any K and any GOMAXPROCS.
 func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
@@ -437,25 +443,14 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	defer sp.End()
 	ver := s.version.Load() // quiescent: mutators bump under a data lock we hold
 
-	// Time reconciliation: backwards invalidates everything (liveness is
-	// evaluated at build time, so history is not monotone), forwards
-	// dirties the rows of evidence that expired in (lastNow, now].
+	// Time reconciliation: the first build and a build at an earlier
+	// time invalidate everything (liveness is evaluated at build time, so
+	// history is not monotone), forwards dirties the rows of evidence
+	// that expired in (lastNow, now] and drops those files' lists.
 	switch {
-	case !s.lastNowSet:
+	case !s.lastNowSet || now < s.lastNow:
+		s.markAllDirty()
 		s.lastNow, s.lastNowSet = now, true
-	case now < s.lastNow:
-		for si := range s.shards {
-			sh := &s.shards[si]
-			sh.dirtyMu.Lock()
-			for d := 0; d < 3; d++ {
-				sh.all[d] = true
-				if len(sh.dirty[d]) > 0 {
-					sh.dirty[d] = make(map[int]struct{})
-				}
-			}
-			sh.dirtyMu.Unlock()
-		}
-		s.lastNow = now
 	case now > s.lastNow:
 		if s.eng.cfg.Window > 0 {
 			prev := s.lastNow
@@ -490,6 +485,9 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 			}
 		}
 		sh.dirtyMu.Unlock()
+		if sh.pairs == nil {
+			sh.pairs = newPairScratch(s.eng.n)
+		}
 		owned := s.owned[si]
 		full := false
 		var union []int
@@ -498,7 +496,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 				continue
 			}
 			changed.Store(true)
-			rowFn := s.eng.rowFunc(d, now)
+			rowFn := s.eng.rowFunc(d, now, sh.pairs)
 			if all[d] {
 				full = true
 				bsp := s.obs.startBuild(d, uint64(len(owned)))
@@ -693,7 +691,7 @@ func (s *Sharded) ExportShardState(si int) (*ShardState, error) {
 // each shard restores its snapshot and replays its own journal tail
 // concurrently. Because restored evidence changes FM pairings of
 // co-evaluators on any shard, every shard's dimensions are marked
-// all-dirty.
+// all-dirty and every kept evaluator list is dropped.
 func (s *Sharded) RestoreShard(si int, st *ShardState) error {
 	if si < 0 || si >= s.k {
 		return fmt.Errorf("core: shard %d outside [0, %d)", si, s.k)
@@ -730,17 +728,26 @@ func (s *Sharded) RestoreShard(si int, st *ShardState) error {
 			return err
 		}
 	}
-	for sj := range s.shards {
-		other := &s.shards[sj]
-		other.dirtyMu.Lock()
-		for d := 0; d < 3; d++ {
-			other.all[d] = true
-			if len(other.dirty[d]) > 0 {
-				other.dirty[d] = make(map[int]struct{})
-			}
-		}
-		other.dirtyMu.Unlock()
-	}
+	s.markAllDirty()
 	s.version.Add(1)
 	return nil
+}
+
+// markAllDirty marks every row of every dimension dirty on every shard
+// and drops every kept evaluator list, so the next rebuild is a full
+// build. The caller holds at least one shard data lock, which orders
+// the stripe locks dropLists takes.
+func (s *Sharded) markAllDirty() {
+	for si := range s.shards {
+		sh := &s.shards[si]
+		sh.dirtyMu.Lock()
+		for d := 0; d < 3; d++ {
+			sh.all[d] = true
+			if len(sh.dirty[d]) > 0 {
+				sh.dirty[d] = make(map[int]struct{})
+			}
+		}
+		sh.dirtyMu.Unlock()
+	}
+	s.eng.evaluators.dropLists()
 }

@@ -13,7 +13,7 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -273,7 +273,7 @@ func (s *Store) Files(now time.Duration) []FileID {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
