@@ -4,7 +4,7 @@ GO      ?= go
 BIN     ?= bin
 VETTOOL := $(BIN)/mdrep-lint
 
-.PHONY: all build perfbench-build test race chaos walk obs flight sim shard lint lint-allow lint-fix vet fmt bench bench-json bench-gate clean
+.PHONY: all build perfbench-build test race fuzz chaos walk obs flight sim shard lint lint-allow lint-fix vet fmt bench bench-json bench-gate clean
 
 all: build perfbench-build lint test
 
@@ -31,6 +31,19 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -cpu 1,4 -run 'Verify|Signed|Sync|Judge|Storage|TrustRowMatchesEngine' \
 		./internal/eval ./internal/peer ./internal/dht
+
+# fuzz runs every fuzz target in the tree (outside vendor/ and the
+# analyzer fixtures) for 10 s each, one target per go test run, as go
+# test -fuzz requires. A failing input is written under the package's
+# testdata/fuzz/ and fails the run.
+fuzz:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' '^func Fuzz' . \
+		| grep -v '^\./vendor/' | grep -v '/testdata/' | xargs -n1 dirname | sort -u); do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go); do \
+			echo "fuzz: $$dir $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$dir; \
+		done; \
+	done
 
 # lint builds the repo's own go/analysis suite (cmd/mdrep-lint) and runs
 # it through the go vet vettool protocol, then standard vet and gofmt.

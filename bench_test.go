@@ -565,7 +565,8 @@ func BenchmarkSignVerify(b *testing.B) {
 
 // BenchmarkPeerSync measures one evaluation-list exchange (§4.1 step 4)
 // over the in-memory network: the owner serves its 48-entry signed list
-// (one SignedEvaluations) and the syncing peer verifies all 48 entries.
+// (one SignedEvaluations) and the syncing peer authenticates all 48
+// entries with one check of the list signature.
 // It is the stage that dominates a judge-tcp op in perfbench, without
 // the sockets.
 func BenchmarkPeerSync(b *testing.B) {

@@ -12,8 +12,9 @@ import (
 
 // NodeConfig parameterises one DHT node.
 type NodeConfig struct {
-	// SuccessorListLen is the fault-tolerance depth r; records are
-	// replicated to the key's first r successors.
+	// SuccessorListLen is the fault-tolerance depth r. A published
+	// record is stored at its key's root and at each of the root's r
+	// successors: r + 1 copies.
 	SuccessorListLen int
 	// Storage is the node's record store (required).
 	Storage *Storage

@@ -1,7 +1,8 @@
 package dht
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,17 +24,20 @@ type StoredRecord struct {
 	StoredAt time.Time `json:"-"`
 }
 
-// Storage is a replica's record store: key → owner → newest record.
-// Records expire TTL after their last (re)publication, implementing §4.3's
-// "preserve the evaluations within an interval" and garbage-collecting
-// departed owners.
+// Storage is a replica's record store: key → the newest record of each
+// owner. Records expire TTL after their last (re)publication, implementing
+// §4.3's "preserve the evaluations within an interval" and
+// garbage-collecting departed owners.
 type Storage struct {
 	mu  sync.RWMutex
 	ttl time.Duration
 	// verify, when non-nil, rejects records whose signature does not
 	// check out against the directory (§4.2 attack 1).
-	verify  *identity.Directory
-	records map[ID]map[identity.PeerID]StoredRecord
+	verify *identity.Directory
+	// records holds each key's records sorted by owner, one per owner. A
+	// slice, not a map per key: most keys have one owner or a few, and
+	// a map's first insert allocates a whole group of slots.
+	records map[ID][]StoredRecord
 	now     func() time.Time
 }
 
@@ -44,7 +48,7 @@ func NewStorage(ttl time.Duration, dir *identity.Directory) *Storage {
 	return &Storage{
 		ttl:     ttl,
 		verify:  dir,
-		records: make(map[ID]map[identity.PeerID]StoredRecord),
+		records: make(map[ID][]StoredRecord),
 		now:     time.Now,
 	}
 }
@@ -52,16 +56,19 @@ func NewStorage(ttl time.Duration, dir *identity.Directory) *Storage {
 // Put merges records into the store. A record replaces an existing one
 // from the same owner only if its evaluation timestamp is not older
 // (republication refreshes; replayed stale records are ignored). It
-// returns the number of records accepted. With a directory, every
-// record's signature is checked first, in parallel (eval.VerifyAll) and
-// before the store is locked, so readers do not wait on verification;
-// the records that pass are then merged in input order.
+// returns the number of records accepted. A stored record is the §4.1
+// record and is judged alone, so Put drops its list signature
+// (eval.Info.ListSignature) and, with a directory, checks each record by
+// its own signature first, in parallel (eval.VerifyAll) and before the
+// store is locked, so readers do not wait on verification; the records
+// that pass are then merged in input order.
 func (s *Storage) Put(recs []StoredRecord) int {
 	var errs []error
 	if s.verify != nil {
 		infos := make([]eval.Info, len(recs))
 		for i := range recs {
 			infos[i] = recs[i].Info
+			infos[i].ListSignature = nil
 		}
 		errs = eval.VerifyAll(s.verify, infos)
 	}
@@ -73,38 +80,45 @@ func (s *Storage) Put(recs []StoredRecord) int {
 		if errs != nil && errs[i] != nil {
 			continue // forged record
 		}
-		perOwner := s.records[r.Key]
-		if perOwner == nil {
-			perOwner = make(map[identity.PeerID]StoredRecord, 4)
-			s.records[r.Key] = perOwner
-		}
-		if old, ok := perOwner[r.Info.OwnerID]; ok && old.Info.Timestamp > r.Info.Timestamp {
-			continue
-		}
+		r.Info.ListSignature = nil
 		r.StoredAt = now
-		perOwner[r.Info.OwnerID] = r
+		perKey := s.records[r.Key]
+		k, found := slices.BinarySearchFunc(perKey, r.Info.OwnerID, byOwner)
+		switch {
+		case !found:
+			s.records[r.Key] = slices.Insert(perKey, k, r)
+		case perKey[k].Info.Timestamp > r.Info.Timestamp:
+			continue
+		default:
+			perKey[k] = r
+		}
 		accepted++
 	}
 	return accepted
+}
+
+func byOwner(r StoredRecord, owner identity.PeerID) int {
+	return cmp.Compare(r.Info.OwnerID, owner)
 }
 
 // Get returns the live records under key, sorted by owner for determinism.
 func (s *Storage) Get(key ID) []StoredRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	perOwner := s.records[key]
-	if len(perOwner) == 0 {
+	perKey := s.records[key]
+	if len(perKey) == 0 {
 		return nil
 	}
-	now := s.now()
-	out := make([]StoredRecord, 0, len(perOwner))
-	for _, r := range perOwner {
-		if s.expired(r, now) {
-			continue
+	return s.appendLive(make([]StoredRecord, 0, len(perKey)), perKey, s.now())
+}
+
+// appendLive appends the records of recs that have not expired by now.
+func (s *Storage) appendLive(out, recs []StoredRecord, now time.Time) []StoredRecord {
+	for _, r := range recs {
+		if !s.expired(r, now) {
+			out = append(out, r)
 		}
-		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Info.OwnerID < out[j].Info.OwnerID })
 	return out
 }
 
@@ -118,15 +132,14 @@ func (s *Storage) Sweep() int {
 	defer s.mu.Unlock()
 	now := s.now()
 	removed := 0
-	for key, perOwner := range s.records {
-		for owner, r := range perOwner {
-			if s.expired(r, now) {
-				delete(perOwner, owner)
-				removed++
-			}
-		}
-		if len(perOwner) == 0 {
+	for key, perKey := range s.records {
+		kept := s.appendLive(perKey[:0], perKey, now)
+		removed += len(perKey) - len(kept)
+		clear(perKey[len(kept):])
+		if len(kept) == 0 {
 			delete(s.records, key)
+		} else {
+			s.records[key] = kept
 		}
 	}
 	return removed
@@ -138,35 +151,30 @@ func (s *Storage) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, perOwner := range s.records {
-		n += len(perOwner)
+	for _, perKey := range s.records {
+		n += len(perKey)
 	}
 	return n
 }
 
 // RecordsInRange returns records whose key falls in the ring interval
-// (from, to]; used to hand off keys when a node joins or leaves.
+// (from, to], sorted by key and then owner; used to hand off keys when a
+// node joins or leaves.
 func (s *Storage) RecordsInRange(from, to ID) []StoredRecord {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	now := s.now()
-	var out []StoredRecord
-	for key, perOwner := range s.records {
-		if !Between(key, from, to) {
-			continue
-		}
-		for _, r := range perOwner {
-			if !s.expired(r, now) {
-				out = append(out, r)
-			}
+	var keys []ID
+	for key := range s.records {
+		if Between(key, from, to) {
+			keys = append(keys, key)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		return out[i].Info.OwnerID < out[j].Info.OwnerID
-	})
+	slices.Sort(keys)
+	now := s.now()
+	var out []StoredRecord
+	for _, key := range keys {
+		out = s.appendLive(out, s.records[key], now)
+	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -246,5 +247,105 @@ func TestStorageRangeWraps(t *testing.T) {
 	got := s.RecordsInRange(^ID(9), 10)
 	if len(got) != 2 {
 		t.Fatalf("wrapped range returned %d records, want 2", len(got))
+	}
+}
+
+// TestStorageOwnerOrder puts one key's owners out of order, then a stale
+// replay and a newer replacement, and checks that every reader sees the
+// owners in order, one record each, and that Sweep drops exactly the
+// expired ones.
+func TestStorageOwnerOrder(t *testing.T) {
+	s := NewStorage(time.Hour, nil)
+	now := time.Unix(1000, 0)
+	s.now = func() time.Time { return now }
+	if n := s.Put([]StoredRecord{rec(7, "d", 0.4, 5), rec(7, "b", 0.2, 5), rec(9, "a", 0.9, 5), rec(7, "c", 0.3, 5)}); n != 4 {
+		t.Fatalf("Put accepted %d, want 4", n)
+	}
+	now = now.Add(40 * time.Minute)
+	if n := s.Put([]StoredRecord{rec(7, "a", 0.1, 5), rec(7, "c", 0.0, 4), rec(7, "d", 0.8, 6)}); n != 2 {
+		t.Fatalf("Put accepted %d of a new owner, a stale replay and a replacement, want 2", n)
+	}
+	owners := func(recs []StoredRecord) string {
+		var b strings.Builder
+		for _, r := range recs {
+			fmt.Fprintf(&b, "%s%d=%v ", r.Info.OwnerID, r.Key, r.Info.Evaluation)
+		}
+		return b.String()
+	}
+	if got, want := owners(s.Get(7)), "a7=0.1 b7=0.2 c7=0.3 d7=0.8 "; got != want {
+		t.Fatalf("Get(7) = %s, want %s", got, want)
+	}
+	if s.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", s.Len())
+	}
+	if got, want := owners(s.RecordsInRange(6, 9)), "a7=0.1 b7=0.2 c7=0.3 d7=0.8 a9=0.9 "; got != want {
+		t.Fatalf("RecordsInRange(6, 9) = %s, want %s", got, want)
+	}
+	// b, c and key 9's a were stored 70 minutes ago; a and d 30.
+	now = now.Add(30 * time.Minute)
+	if got, want := owners(s.Get(7)), "a7=0.1 d7=0.8 "; got != want {
+		t.Fatalf("Get(7) past the TTL = %s, want %s", got, want)
+	}
+	if removed := s.Sweep(); removed != 3 {
+		t.Fatalf("Sweep removed %d, want 3", removed)
+	}
+	if s.Len() != 2 || s.Get(9) != nil {
+		t.Fatalf("after Sweep: Len = %d, Get(9) = %v", s.Len(), s.Get(9))
+	}
+	if got, want := owners(s.All()), "a7=0.1 d7=0.8 "; got != want {
+		t.Fatalf("All after Sweep = %s, want %s", got, want)
+	}
+}
+
+// TestStorageDropsListSignature puts an owner's whole served list, list
+// signatures and all, in one batch. A stored record is judged alone, so
+// the store keeps none of the list signatures and checks each record by
+// its own signature: the record whose own signature is spoiled is
+// refused although the list signature would vouch for it.
+func TestStorageDropsListSignature(t *testing.T) {
+	id, err := identity.Generate(identity.NewDeterministicReader(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := identity.NewDirectory()
+	if _, err := dir.Register(id.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+	infos := make([]eval.Info, 3)
+	for k := range infos {
+		infos[k] = eval.Info{FileID: eval.FileID(fmt.Sprintf("f%d", k)), OwnerID: id.ID(), Evaluation: 0.5, Timestamp: 1}
+		if err := infos[k].Sign(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls, err := eval.SignList(id, infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infos[2].Signature = make([]byte, len(infos[2].Signature))
+	recs := make([]StoredRecord, len(infos))
+	for k := range infos {
+		infos[k].ListSignature = ls
+		recs[k] = StoredRecord{Key: ID(k), Info: infos[k]}
+	}
+	for k, err := range eval.VerifyAll(dir, infos) {
+		if err != nil {
+			t.Fatalf("record %d: the whole list is not accepted by its list signature: %v", k, err)
+		}
+	}
+	s := NewStorage(0, dir)
+	if n := s.Put(recs); n != 2 {
+		t.Fatalf("Put accepted %d records, want the 2 with a valid own signature", n)
+	}
+	for _, r := range s.All() {
+		if r.Info.ListSignature != nil {
+			t.Fatalf("%s stored with a list signature", r.Info.FileID)
+		}
+		if err := r.Info.Verify(dir); err != nil {
+			t.Fatalf("%s stored but fails alone: %v", r.Info.FileID, err)
+		}
+	}
+	if recs[0].Info.ListSignature == nil {
+		t.Fatal("Put cleared the caller's list signature")
 	}
 }

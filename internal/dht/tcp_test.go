@@ -1,6 +1,9 @@
 package dht
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -10,6 +13,7 @@ import (
 	"mdrep/internal/fault"
 	"mdrep/internal/identity"
 	"mdrep/internal/obs"
+	"mdrep/internal/wire"
 )
 
 // startTCPRing launches n nodes on loopback TCP, joins them, and
@@ -231,5 +235,34 @@ func TestTCPClientStalledHandlerTimesOutRetryably(t *testing.T) {
 	}
 	if n := h.retrieves.Load(); n != 1 {
 		t.Fatalf("server saw the timed-out retrieve %d times, want 1", n)
+	}
+}
+
+// TestWireFrameBytesMatchMarshal pins the DHT's request and response
+// frames to a 4-byte big-endian length followed by json.Marshal, with
+// strings JSON escapes.
+func TestWireFrameBytesMatchMarshal(t *testing.T) {
+	recs := []StoredRecord{
+		{Key: 42, Info: eval.Info{FileID: "<b>&\u2028", OwnerID: "owner&<>", Evaluation: 0.25, Timestamp: 7, Signature: []byte{0, 1, 0xfe}}},
+		rec(^ID(0), "plain", 1, 0),
+	}
+	for _, v := range []any{
+		wireRequest{Method: "store", ID: 9, Node: NodeRef{ID: 3, Addr: "127.0.0.1:1&<"}, Records: recs, Replicate: true, Trace: []byte("tc")},
+		wireRequest{Method: "retrieve", ID: 1 << 63},
+		wireResponse{Error: "dht: <nope> & \u2028"},
+		wireResponse{Node: NodeRef{ID: 1, Addr: "a"}, HasNode: true, Nodes: []NodeRef{{ID: 2, Addr: "b"}}, Records: recs},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+		var buf bytes.Buffer
+		if err := wire.WriteFrame(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("frame of %+v:\n got %q\nwant %q", v, buf.Bytes(), want)
+		}
 	}
 }

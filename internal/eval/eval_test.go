@@ -1,10 +1,14 @@
 package eval
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -380,7 +384,8 @@ func TestUnmarshalInfoRejectsGarbage(t *testing.T) {
 // TestVerifyAllMatchesSequential checks VerifyAll's per-index results
 // against Info.Verify one record at a time, at several worker counts and
 // batch sizes, with forged, unknown-owner and out-of-range records at the
-// first and last index and on both sides of every chunk boundary.
+// first and last index and on both sides of every chunk boundary. Then it
+// does the same for list-signed groups, whole and not (listCases).
 func TestVerifyAllMatchesSequential(t *testing.T) {
 	dir := identity.NewDirectory()
 	var owners []*identity.Identity
@@ -455,4 +460,131 @@ func TestVerifyAllMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+
+	cases := listCases(t, owners, dir)
+	all := listCase{name: "every case in one batch", byList: make(map[int]bool)}
+	for _, c := range cases {
+		for k := range c.infos {
+			all.byList[len(all.infos)+k] = c.byList[k]
+		}
+		all.infos = append(all.infos, c.infos...)
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range append(cases, all) {
+			got := VerifyAll(dir, c.infos)
+			for k := range c.infos {
+				want := c.infos[k].Verify(dir)
+				if c.byList[k] {
+					want = nil
+				}
+				if fmt.Sprint(got[k]) != fmt.Sprint(want) {
+					t.Fatalf("%s, GOMAXPROCS=%d: record %d: VerifyAll = %v, want %v", c.name, procs, k, got[k], want)
+				}
+			}
+		}
+	}
+}
+
+// listCase is a batch for VerifyAll. byList marks the records only a
+// verified list signature can accept: their own signature is garbage.
+type listCase struct {
+	name   string
+	infos  []Info
+	byList map[int]bool
+}
+
+// signedList returns id's evaluation list of n files at timestamp ts,
+// each record signed and carrying the list signature.
+func signedList(t testing.TB, id *identity.Identity, n int, ts time.Duration) []Info {
+	t.Helper()
+	infos := make([]Info, n)
+	for k := range infos {
+		infos[k] = Info{FileID: FileID(fmt.Sprintf("list-%02d", k)), OwnerID: id.ID(), Evaluation: float64(k%11) / 10, Timestamp: ts}
+		if err := infos[k].Sign(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ls, err := SignList(id, infos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range infos {
+		infos[k].ListSignature = ls
+	}
+	return infos
+}
+
+// listCases builds one batch per way a list-signed group can be whole or
+// not. Every case spoils one record's own signature, so whether the list
+// check ran shows in the results. Each case has its own timestamp, so
+// the cases stay apart when batched together.
+func listCases(t *testing.T, owners []*identity.Identity, dir *identity.Directory) []listCase {
+	a, b := owners[0], owners[1]
+	var cases []listCase
+	add := func(name string, infos []Info, spoil int, whole bool) {
+		infos[spoil].Signature = bytes.Repeat([]byte{0xa5}, len(infos[spoil].Signature))
+		cases = append(cases, listCase{name: name, infos: infos, byList: map[int]bool{spoil: whole}})
+	}
+
+	complete := signedList(t, a, 6, 1000)
+	add("complete", complete, 2, true)
+
+	// A whole list whose owner signed an evaluation outside [0,1]: the
+	// list check passes and the range check still drops that record.
+	outOfRange := signedList(t, a, 5, 1001)
+	outOfRange[3].Evaluation = 1.5
+	if err := outOfRange[3].Sign(a); err != nil {
+		t.Fatal(err)
+	}
+	ls, err := SignList(a, outOfRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range outOfRange {
+		outOfRange[k].ListSignature = ls
+	}
+	add("complete, one entry out of range", outOfRange, 1, true)
+
+	add("partial", signedList(t, a, 6, 1002)[:4], 0, false)
+
+	tampered := signedList(t, a, 6, 1003)
+	tampered[4].Evaluation = math.Mod(tampered[4].Evaluation+0.5, 1)
+	add("one entry tampered", tampered, 1, false)
+
+	reordered := signedList(t, a, 6, 1004)
+	slices.Reverse(reordered)
+	add("reordered", reordered, 5, true)
+
+	repeated := signedList(t, a, 6, 1005)
+	repeated[5] = repeated[0]
+	add("a repeated file", repeated, 2, false)
+
+	wrongLen := signedList(t, a, 6, 1006)
+	sig, _, _ := splitListSignature(wrongLen[0].ListSignature)
+	claimed := binary.AppendUvarint(bytes.Clone(sig), 5)
+	for k := range wrongLen {
+		wrongLen[k].ListSignature = claimed
+	}
+	add("wrong length", wrongLen, 3, false)
+
+	// b's records carrying the list signature a made over the same files.
+	theirs := signedList(t, a, 6, 1007)
+	borrowed := signedList(t, b, 6, 1007)
+	for k := range borrowed {
+		borrowed[k].ListSignature = theirs[0].ListSignature
+	}
+	add("another owner's list signature", borrowed, 4, false)
+
+	add("a group of one", signedList(t, a, 1, 1008), 0, false)
+	add("one record of a list", signedList(t, a, 6, 1009)[2:3], 0, false)
+
+	for _, c := range cases {
+		for k := range c.byList {
+			if err := c.infos[k].Verify(dir); !errors.Is(err, identity.ErrBadSignature) {
+				t.Fatalf("%s: spoiled record %d: Verify = %v, want a bad signature", c.name, k, err)
+			}
+		}
+	}
+	return cases
 }

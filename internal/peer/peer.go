@@ -22,8 +22,11 @@
 // with the peers this one knows numbered by ascending ID, so a peer
 // computes its row of TM and its verdicts with the engine's bits.
 //
-// Exchanged evaluation lists are signed per entry, so a relay cannot
-// forge them; verification failures discard the entry.
+// Each entry of an exchanged evaluation list carries the owner's
+// signature over the entry and the owner's signature over the whole
+// list, so a relay cannot forge either. A sync checks the list signature
+// once; if it fails, every entry is checked by its own signature, and
+// only the entries that fail are discarded.
 package peer
 
 import (
@@ -238,11 +241,15 @@ func (p *Peer) Blacklist(target identity.PeerID) {
 // SignedEvaluations returns the peer's current evaluation list as signed
 // EvaluationInfo records sorted by file — what it serves to other peers
 // (and publishes to the DHT with its file index entries). Every record is
-// stamped with the peer's clock at the time of the call. An entry whose
-// file, evaluation and timestamp match the last one served for that file
-// reuses that entry's signature instead of signing again; ed25519 is
-// deterministic, so the bytes are the same either way. The returned
-// records, signatures included, are the caller's to keep or alter.
+// stamped with the peer's clock at the time of the call and carries its
+// own Signature. An entry whose file, evaluation and timestamp match the
+// last one served for that file reuses that entry's signature instead of
+// signing again; ed25519 is deterministic, so the bytes are the same
+// either way. A list of two or more entries also carries the owner's
+// list signature (eval.SignList) in every record's ListSignature, made
+// again only when an entry was signed again or dropped. The returned
+// records, signatures included, are the caller's to keep or alter; the
+// records of one call share one copy of the list signature.
 func (p *Peer) SignedEvaluations() ([]eval.Info, error) {
 	p.mu.RLock()
 	snap := p.store.Snapshot(p.now)
@@ -254,10 +261,12 @@ func (p *Peer) SignedEvaluations() ([]eval.Info, error) {
 // SyncPeer fetches the target's evaluation list (§4.1 step 4), caches
 // it, and feeds the examiner. It returns the number of verified entries.
 // Entries that name another owner are relayed garbage and are dropped
-// unchecked. Every other entry's signature is verified on every sync,
-// even if the same list was verified before; the checks run in parallel
-// (eval.VerifyAll) and the verified entries are merged in fetch order,
-// so the cached list is the same at any GOMAXPROCS.
+// unchecked. Every other entry is authenticated on every sync, even if
+// the same list was verified before: an unaltered list by one check of
+// its list signature, and otherwise each entry by its own signature, so
+// a forged entry is dropped alone (eval.VerifyAll). The verified entries
+// are merged in fetch order, so the cached list is the same at any
+// GOMAXPROCS.
 func (p *Peer) SyncPeer(target identity.PeerID) (n int, err error) {
 	if target == p.ID() {
 		return 0, fault.Terminal(errors.New("peer: cannot sync with self"))
@@ -306,16 +315,17 @@ func (p *Peer) SyncPeer(target identity.PeerID) (n int, err error) {
 
 // fileTrust computes FT of one synced list against our own evaluations
 // (Eq. 2). It sums |ours − theirs| in ascending file order, so the same
-// records give the same bits on every call.
-func fileTrust(mine, list map[eval.FileID]float64) float64 {
-	shared := make([]eval.FileID, 0, len(list))
+// records give the same bits on every call. shared is scratch space for
+// the files both evaluated, returned for the next call to reuse.
+func fileTrust(mine, list map[eval.FileID]float64, shared []eval.FileID) (float64, []eval.FileID) {
+	shared = shared[:0]
 	for f := range list {
 		if _, ok := mine[f]; ok {
 			shared = append(shared, f)
 		}
 	}
 	if len(shared) == 0 {
-		return 0
+		return 0, shared
 	}
 	slices.Sort(shared)
 	sum := 0.0
@@ -324,9 +334,9 @@ func fileTrust(mine, list map[eval.FileID]float64) float64 {
 	}
 	ft := 1 - sum/float64(len(shared))
 	if ft < 0 {
-		return 0
+		return 0, shared
 	}
-	return ft
+	return ft, shared
 }
 
 // TrustRow returns the peer's one-step direct trust in every known peer:
@@ -367,9 +377,12 @@ func (p *Peer) TrustRow() map[identity.PeerID]float64 {
 			raw[d].Vals = append(raw[d].Vals, v)
 		}
 	}
+	var shared []eval.FileID
 	for col, id := range ids {
 		if list, ok := p.lists[id]; ok {
-			add(0, col, fileTrust(mine, list))
+			var ft float64
+			ft, shared = fileTrust(mine, list, shared)
+			add(0, col, ft)
 		}
 		add(1, col, core.DownloadVolume(p.downBy[id], p.store, p.now, floor))
 		add(2, col, p.rating[id])
@@ -383,11 +396,12 @@ func (p *Peer) TrustRow() map[identity.PeerID]float64 {
 }
 
 // JudgeFile computes R_f (Eq. 9) from DHT-retrieved evaluator records,
-// verifying each record's signature first (§4.2 attack 1). Records
-// outside [0,1] are dropped without a signature check: one hostile
-// record must not fail the judgement. The checks run in parallel
-// (eval.VerifyAll) and the verified records are summed in input order,
-// so R_f has the same bits at any GOMAXPROCS.
+// verifying each record's signature first (§4.2 attack 1). A file's
+// records come from different owners, so each is checked by its own
+// signature. Records outside [0,1] are dropped without a signature
+// check: one hostile record must not fail the judgement. The checks run
+// in parallel (eval.VerifyAll) and the verified records are summed in
+// input order, so R_f has the same bits at any GOMAXPROCS.
 func (p *Peer) JudgeFile(records []eval.Info) (core.Judgement, error) {
 	row := p.TrustRow()
 	errs := eval.VerifyAll(p.dir, records)

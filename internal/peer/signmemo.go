@@ -2,6 +2,7 @@ package peer
 
 import (
 	"crypto/ed25519"
+	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
@@ -20,11 +21,19 @@ import (
 // vote, a retention signal or a clock advance therefore misses the memo,
 // and nothing has to invalidate it.
 //
+// It also keeps the list signature of the last list served. The list is
+// the memo's entries, so it changes only when an entry is signed again
+// or dropped, and only then is it signed again.
+//
 // mu is a leaf lock: it is never held while acquiring Peer.mu.
 type signMemo struct {
 	mu      sync.Mutex
 	entries map[eval.FileID]signedEntry
-	made    int // signatures made, for the memo's tests
+	// list is the last list's eval.SignList result; nil when that list
+	// had fewer than two entries or an entry has changed since.
+	list      []byte
+	made      int // entry signatures made, for the memo's tests
+	listsMade int // list signatures made, for the memo's tests
 }
 
 type signedEntry struct {
@@ -34,11 +43,14 @@ type signedEntry struct {
 }
 
 // sign returns snap as records owned by id, stamped now and sorted by
-// file. Each record carries its own copy of the signature, never the
-// memo's, and files no longer in snap leave the memo.
+// file. Each record carries its own copy of its signature, never the
+// memo's; the records share one copy of the list signature, which a
+// list of fewer than two entries goes without, since eval.VerifyAll
+// never checks a group of one by it. Files no longer in snap leave the
+// memo.
 func (m *signMemo) sign(id *identity.Identity, snap map[eval.FileID]float64, now time.Duration) ([]eval.Info, error) {
 	out := make([]eval.Info, 0, len(snap))
-	sigs := make([]byte, 0, len(snap)*ed25519.SignatureSize)
+	sigs := make([]byte, 0, (len(snap)+1)*ed25519.SignatureSize+binary.MaxVarintLen64)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.entries == nil {
@@ -47,6 +59,7 @@ func (m *signMemo) sign(id *identity.Identity, snap map[eval.FileID]float64, now
 	for f := range m.entries {
 		if _, live := snap[f]; !live {
 			delete(m.entries, f)
+			m.list = nil
 		}
 	}
 	for f, v := range snap {
@@ -60,6 +73,7 @@ func (m *signMemo) sign(id *identity.Identity, snap map[eval.FileID]float64, now
 			m.made++
 			e = signedEntry{evalBits: bits, timestamp: now, sig: info.Signature}
 			m.entries[f] = e
+			m.list = nil
 		}
 		start := len(sigs)
 		sigs = append(sigs, e.sig...)
@@ -67,5 +81,22 @@ func (m *signMemo) sign(id *identity.Identity, snap map[eval.FileID]float64, now
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FileID < out[j].FileID })
+	if len(out) < 2 {
+		m.list = nil
+		return out, nil
+	}
+	if m.list == nil {
+		list, err := eval.SignList(id, out)
+		if err != nil {
+			return nil, err
+		}
+		m.list = list
+		m.listsMade++
+	}
+	start := len(sigs)
+	sigs = append(sigs, m.list...)
+	for k := range out {
+		out[k].ListSignature = sigs[start:len(sigs):len(sigs)]
+	}
 	return out, nil
 }

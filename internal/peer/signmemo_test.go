@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -329,6 +330,105 @@ func TestSyncAndJudgeGOMAXPROCSInvariant(t *testing.T) {
 	for id, bits := range want.row {
 		if got.row[id] != bits {
 			t.Fatalf("trust in %s differs between GOMAXPROCS 1 and 4", id)
+		}
+	}
+}
+
+// TestSignedEvaluationsListSignature checks the served list signature.
+// Every record of a call carries the same one, equal to a fresh
+// eval.SignList, and it alone authenticates the list: VerifyAll accepts
+// every record with all their own signatures spoiled. It is reused while
+// nothing changes and made again after a vote, an expiry and a clock
+// advance, and after the memo drops a file at an unchanged clock. No two
+// calls share its bytes.
+func TestSignedEvaluationsListSignature(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Reputation.Window = time.Hour
+	peers, _, dir := testnet(t, 1, cfg)
+	p := peers[0]
+	p.Vote("a", 0.8)
+	p.Vote("b", 0.3)
+	p.AdvanceTo(50 * time.Minute)
+	p.Vote("c", 0.6)
+	p.Vote("d", 0.1)
+
+	listsMade := func() int {
+		p.signed.mu.Lock()
+		defer p.signed.mu.Unlock()
+		return p.signed.listsMade
+	}
+	check := func(step string, infos []eval.Info, wantMade int) []byte {
+		t.Helper()
+		ls := infos[0].ListSignature
+		for _, in := range infos {
+			if !bytes.Equal(in.ListSignature, ls) {
+				t.Fatalf("%s: %s carries another list signature", step, in.FileID)
+			}
+		}
+		fresh, err := eval.SignList(p.id, infos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ls, fresh) {
+			t.Fatalf("%s: served list signature differs from a fresh one", step)
+		}
+		spoiled := slices.Clone(infos)
+		for k := range spoiled {
+			spoiled[k].Signature = make([]byte, len(spoiled[k].Signature))
+		}
+		for k, err := range eval.VerifyAll(dir, spoiled) {
+			if err != nil {
+				t.Fatalf("%s: %s not accepted by its list signature: %v", step, spoiled[k].FileID, err)
+			}
+		}
+		if got := listsMade(); got != wantMade {
+			t.Fatalf("%s: %d list signatures made in all, want %d", step, got, wantMade)
+		}
+		return bytes.Clone(ls)
+	}
+
+	first := servedFresh(t, p)
+	ls := check("first call", first, 1)
+	// A caller altering its copy must not reach the next call.
+	first[0].ListSignature[0] ^= 0xff
+	if again := check("unchanged", servedFresh(t, p), 1); !bytes.Equal(again, ls) {
+		t.Fatal("list signature changed between calls with nothing changed")
+	}
+
+	p.Vote("b", 0.9)
+	voted := check("after a vote", servedFresh(t, p), 2)
+	p.AdvanceTo(55 * time.Minute)
+	advanced := check("after a clock advance", servedFresh(t, p), 3)
+	// a was last updated at 0, so it expires past the one-hour window.
+	p.AdvanceTo(100 * time.Minute)
+	live := servedFresh(t, p)
+	if len(live) != 3 {
+		t.Fatalf("served %d entries after a expired, want 3", len(live))
+	}
+	expired := check("after an expiry", live, 4)
+
+	// The memo drops a file at an unchanged clock: no entry is signed
+	// again, but the list is.
+	snap := map[eval.FileID]float64{}
+	for _, in := range live[1:] {
+		snap[in.FileID] = in.Evaluation
+	}
+	made := p.signed.made
+	dropped, err := p.signed.sign(p.id, snap, 100*time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.signed.made != made {
+		t.Fatalf("dropping a file signed %d entries again", p.signed.made-made)
+	}
+	afterDrop := check("after a drop", dropped, 5)
+
+	seen := [][]byte{ls, voted, advanced, expired, afterDrop}
+	for x := range seen {
+		for y := x + 1; y < len(seen); y++ {
+			if bytes.Equal(seen[x], seen[y]) {
+				t.Fatalf("list signatures %d and %d are equal across a change", x, y)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package peer
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -146,5 +149,34 @@ func TestTCPExchangeSurvivesServerRestart(t *testing.T) {
 	serve(srv.Addr())
 	if _, err := e.FetchEvaluations(obs.SpanContext{}, "restarting"); err != nil {
 		t.Fatalf("fetch after restart: %v", err)
+	}
+}
+
+// TestExchangeFrameBytesMatchMarshal pins the evaluation exchange's
+// request and response frames, list signatures included, to a 4-byte
+// big-endian length followed by json.Marshal, with strings JSON escapes.
+func TestExchangeFrameBytesMatchMarshal(t *testing.T) {
+	infos := []eval.Info{
+		{FileID: "<i>&\u2028", OwnerID: "o&<>", Evaluation: 0.125, Timestamp: 3, Signature: []byte{9, 8}, ListSignature: []byte{7, 6, 2}},
+		{FileID: "plain", OwnerID: "o&<>", Evaluation: 1, Timestamp: 3},
+	}
+	for _, v := range []any{
+		exchangeRequest{Method: "evaluations", Trace: []byte("<trace>")},
+		exchangeRequest{Method: "\u2028&"},
+		exchangeResponse{Evaluations: infos},
+		exchangeResponse{Error: "unknown method \"<&>\""},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+		var buf bytes.Buffer
+		if err := wire.WriteFrame(&buf, v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("frame of %+v:\n got %q\nwant %q", v, buf.Bytes(), want)
+		}
 	}
 }

@@ -17,19 +17,35 @@ import (
 const MaxFrame = 4 << 20
 
 // WriteFrame marshals v and writes one frame in a single Write, so a
-// frame on a TCP_NODELAY socket leaves as one segment, not two.
+// frame on a TCP_NODELAY socket leaves as one segment, not two. The body
+// is json.Marshal's bytes, encoded straight behind the reserved header:
+// one frame-sized allocation, not a body and then a copy.
 func WriteFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
+	var f frameBuffer
+	if err := json.NewEncoder(&f).Encode(v); err != nil {
 		return fmt.Errorf("wire: marshal frame: %w", err)
 	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame too large (%d bytes)", len(body))
+	frame := f[:len(f)-1] // Encode ends the body with a newline Marshal omits
+	body := len(frame) - 4
+	if body > MaxFrame {
+		return fmt.Errorf("wire: frame too large (%d bytes)", body)
 	}
-	frame := make([]byte, 4, 4+len(body))
-	binary.BigEndian.PutUint32(frame, uint32(len(body)))
-	_, err = w.Write(append(frame, body...))
+	binary.BigEndian.PutUint32(frame, uint32(body))
+	_, err := w.Write(frame)
 	return err
+}
+
+// frameBuffer collects one encoded frame behind a 4-byte header. A
+// json.Encoder writes each value in one call, so the buffer is allocated
+// once, at its final size.
+type frameBuffer []byte
+
+func (f *frameBuffer) Write(p []byte) (int, error) {
+	if *f == nil {
+		*f = make([]byte, 4, 4+len(p))
+	}
+	*f = append(*f, p...)
+	return len(p), nil
 }
 
 // ReadFrame reads one frame and unmarshals it into v.

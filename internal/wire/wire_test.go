@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -93,5 +94,37 @@ func TestWriteFrameUnmarshalableValue(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, make(chan int)); err == nil {
 		t.Fatal("unmarshalable value accepted")
+	}
+}
+
+// TestWriteFrameMatchesMarshal pins WriteFrame's bytes to a 4-byte
+// big-endian length followed by json.Marshal(v), for values whose strings
+// JSON escapes.
+func TestWriteFrameMatchesMarshal(t *testing.T) {
+	for _, v := range []any{
+		payload{Name: "x", Value: 0.5},
+		payload{Name: "<a href=\"?\">&amp;</a>\u2028\u2029\t\x00é", Value: -1e-300},
+		[]payload{{Name: "one"}, {Name: strings.Repeat("&", 1000)}},
+		map[string]any{"nested": []any{nil, true, "<>"}},
+		nil,
+	} {
+		checkFrameBytes(t, v)
+	}
+}
+
+func checkFrameBytes(t *testing.T, v any) {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	want = append(want, body...)
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WriteFrame(%T) = %q, want %q", v, buf.Bytes(), want)
 	}
 }
