@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -175,7 +176,8 @@ func applyVotes(p *peer.Peer, jp *journal.Peer, votes map[eval.FileID]float64) e
 	return nil
 }
 
-// parseVotes parses "file=0.9,other=0.1".
+// parseVotes parses "file=0.9,other=0.1". A value that is not a number
+// is refused; one outside [0,1] is clamped when the vote is recorded.
 func parseVotes(spec string) (map[eval.FileID]float64, error) {
 	out := make(map[eval.FileID]float64)
 	if spec == "" {
@@ -189,6 +191,9 @@ func parseVotes(spec string) (map[eval.FileID]float64, error) {
 		v, err := strconv.ParseFloat(kv[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("vote %q: %w", part, err)
+		}
+		if math.IsNaN(v) {
+			return nil, fmt.Errorf("vote %q: not a number", part)
 		}
 		out[eval.FileID(kv[0])] = v
 	}

@@ -22,7 +22,7 @@ func TestParseVotes(t *testing.T) {
 	if got, err := parseVotes(""); err != nil || len(got) != 0 {
 		t.Fatalf("empty spec: %v, %v", got, err)
 	}
-	for _, bad := range []string{"a", "a=x", "=0.5,"} {
+	for _, bad := range []string{"a", "a=x", "=0.5,", "a=NaN", "a=0.5,b=nan"} {
 		if _, err := parseVotes(bad); err == nil {
 			t.Fatalf("malformed spec %q accepted", bad)
 		}

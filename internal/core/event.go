@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mdrep/internal/eval"
@@ -112,7 +113,7 @@ func ValidateEvent(n int, ev Event) error {
 		if ev.I == ev.J {
 			return fmt.Errorf("core: self-rating by peer %d", ev.I)
 		}
-		if ev.Value < 0 || ev.Value > 1 {
+		if v := ev.Value; math.IsNaN(v) || v < 0 || v > 1 {
 			return fmt.Errorf("core: user rating %v outside [0,1]", ev.Value)
 		}
 		return nil

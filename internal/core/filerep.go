@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -47,7 +48,7 @@ func FileReputation(reps map[int]float64, owners []OwnerEvaluation) (float64, er
 func ownerEvidence(reps map[int]float64, owners []OwnerEvaluation) (FileEvidence, error) {
 	var ev FileEvidence
 	for _, oe := range owners {
-		if oe.Value < 0 || oe.Value > 1 {
+		if v := oe.Value; math.IsNaN(v) || v < 0 || v > 1 {
 			return FileEvidence{}, fmt.Errorf("core: owner %d evaluation %v outside [0,1]", oe.Owner, oe.Value)
 		}
 		ev.Add(reps[oe.Owner], oe.Value)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -79,14 +80,17 @@ type Sharded struct {
 	tm         *sparse.CSR
 	lastNow    time.Duration
 	lastNowSet bool
+	// pairs holds the FM pair scratch of each rebuild worker, n wide:
+	// one slot per worker of the last rebuild, each allocated at its
+	// worker's first use and kept.
+	pairs []*pairScratch
 
 	obs  *EngineObs // builds, TM patches, RM, walks
 	sobs *ShardedObs
 }
 
-// shard is one partition's locks, dirty-row trackers and rebuild
-// scratch. The zero-ish state set up by NewSharded has every dimension
-// all-dirty.
+// shard is one partition's locks and dirty-row trackers. The zero-ish
+// state set up by NewSharded has every dimension all-dirty.
 type shard struct {
 	// mu guards the owned peers' evidence in the shared engine.
 	mu sync.Mutex
@@ -94,10 +98,6 @@ type shard struct {
 	dirtyMu sync.Mutex
 	dirty   [3]map[int]struct{}
 	all     [3]bool
-	// pairs is the FM pair scratch of the shard's rebuild worker, n
-	// wide, allocated at the shard's first rebuild and kept; guarded by
-	// rebuildMu.
-	pairs *pairScratch
 }
 
 // shardedTM is the lock-free TM cache entry.
@@ -213,18 +213,27 @@ func (s *Sharded) unlockAll() {
 	}
 }
 
-// parallelShards runs fn(si) for every shard on transient goroutines and
-// waits. Workers are not pooled: nothing outlives the call, which keeps
-// the facade invisible to goroutine-leak checks and lets rebuild
-// parallelism follow GOMAXPROCS.
-func (s *Sharded) parallelShards(fn func(si int)) {
+// workers returns how many goroutines parallelShards runs on:
+// min(K, GOMAXPROCS), since no more can run at once.
+func (s *Sharded) workers() int { return min(s.k, runtime.GOMAXPROCS(0)) }
+
+// parallelShards runs fn(w, si) for every shard si on workers
+// transient goroutines, which take the shards in turn, and waits. w in
+// [0, workers) names the goroutine that makes the call, so per-worker
+// scratch needs no lock. Workers are not pooled: nothing outlives the
+// call, which keeps the facade invisible to goroutine-leak checks and
+// lets rebuild parallelism follow GOMAXPROCS.
+func (s *Sharded) parallelShards(workers int, fn func(w, si int)) {
+	var next atomic.Int32
 	var wg sync.WaitGroup
-	wg.Add(s.k)
-	for si := 0; si < s.k; si++ {
-		go func(si int) {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
 			defer wg.Done()
-			fn(si)
-		}(si)
+			for si := int(next.Add(1)) - 1; si < s.k; si = int(next.Add(1)) - 1 {
+				fn(w, si)
+			}
+		}(w)
 	}
 	wg.Wait()
 }
@@ -454,7 +463,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	case now > s.lastNow:
 		if s.eng.cfg.Window > 0 {
 			prev := s.lastNow
-			s.parallelShards(func(si int) {
+			s.parallelShards(s.workers(), func(_, si int) {
 				for _, p := range s.owned[si] {
 					for _, f := range s.eng.stores[p].ExpiredBetween(prev, now) {
 						s.eng.dirtyEvaluationTo(p, f, s.markShard)
@@ -465,11 +474,20 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		s.lastNow = now
 	}
 
-	// Drain + recompute, one worker per shard. tmDirty[si] collects the
-	// shard's rows recomputed in some dimension, ascending.
+	// Drain + recompute, shard by shard on min(K, GOMAXPROCS) workers,
+	// each with its own pair scratch. tmDirty[si] collects the shard's
+	// rows recomputed in some dimension, ascending.
 	var changed atomic.Bool
 	tmDirty := make([][]int, s.k)
-	s.parallelShards(func(si int) {
+	workers := s.workers()
+	if len(s.pairs) > workers {
+		clear(s.pairs[workers:]) // GOMAXPROCS fell: let the extra scratches go
+		s.pairs = s.pairs[:workers]
+	}
+	for len(s.pairs) < workers {
+		s.pairs = append(s.pairs, nil)
+	}
+	s.parallelShards(workers, func(w, si int) {
 		shSp := s.sobs.spanShardRebuild(si)
 		defer shSp.End()
 		sh := &s.shards[si]
@@ -485,8 +503,8 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 			}
 		}
 		sh.dirtyMu.Unlock()
-		if sh.pairs == nil {
-			sh.pairs = newPairScratch(s.eng.n)
+		if s.pairs[w] == nil {
+			s.pairs[w] = newPairScratch(s.eng.n)
 		}
 		owned := s.owned[si]
 		full := false
@@ -496,7 +514,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 				continue
 			}
 			changed.Store(true)
-			rowFn := s.eng.rowFunc(d, now, sh.pairs)
+			rowFn := s.eng.rowFunc(d, now, s.pairs[w])
 			if all[d] {
 				full = true
 				bsp := s.obs.startBuild(d, uint64(len(owned)))

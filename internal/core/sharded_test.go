@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -514,6 +515,55 @@ func TestShardIndexStability(t *testing.T) {
 	for si, c := range counts {
 		if c > 2*10000/8 || c < 10000/8/2 {
 			t.Fatalf("shard %d owns %d of 10000 peers — hash is striping", si, c)
+		}
+	}
+}
+
+// TestShardedPairScratchesPerWorker: a rebuild drains K shards on
+// min(K, GOMAXPROCS) workers and keeps one FM pair scratch per worker,
+// not per shard. At K = 8 and GOMAXPROCS 2 at most two scratches are
+// held between rebuilds; when GOMAXPROCS rises and falls again the kept
+// scratches follow it; TM keeps the bits of K = 1 throughout.
+func TestShardedPairScratchesPerWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n, k = 40, 8
+	evs := scriptEvents(n, 6, 11)
+	ref, err := NewSharded(n, 1, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSharded(n, k, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step, procs := range []int{2, 8, 2} {
+		runtime.GOMAXPROCS(procs)
+		part := evs[step*len(evs)/3 : (step+1)*len(evs)/3]
+		for _, e := range []*Sharded{ref, s} {
+			if err := e.ApplyBatch(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := part[len(part)-1].Time
+		want, err := ref.TM(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.TM(now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if csrBytes(t, got) != csrBytes(t, want) {
+			t.Fatalf("step %d: TM at K = %d differs from K = 1", step, k)
+		}
+		kept := 0
+		for _, sc := range s.pairs {
+			if sc != nil {
+				kept++
+			}
+		}
+		if limit := min(k, procs); len(s.pairs) > limit || kept == 0 {
+			t.Fatalf("step %d, GOMAXPROCS %d: %d scratch slots, %d kept; want 1 to %d", step, procs, len(s.pairs), kept, limit)
 		}
 	}
 }

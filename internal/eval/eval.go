@@ -13,6 +13,7 @@ package eval
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 )
@@ -65,8 +66,11 @@ func (r Record) Value(b Blend) float64 {
 	return clamp01(b.Eta*r.Implicit + b.Rho*r.Explicit)
 }
 
+// clamp01 limits v to [0,1]. NaN, which every comparison fails, becomes
+// 0: a value that is not a number carries no approval, and a NaN kept in
+// a store would pass no range check downstream.
 func clamp01(v float64) float64 {
-	if v < 0 {
+	if v < 0 || math.IsNaN(v) {
 		return 0
 	}
 	if v > 1 {

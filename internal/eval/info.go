@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strconv"
@@ -70,7 +71,7 @@ func (in *Info) Sign(id *identity.Identity) error {
 	return nil
 }
 
-// ErrOutOfRange is returned for evaluations outside [0,1].
+// ErrOutOfRange is returned for evaluations outside [0,1], NaN included.
 var ErrOutOfRange = errors.New("eval: evaluation outside [0,1]")
 
 // Verify checks the record's range and signature against the directory.
@@ -84,7 +85,7 @@ func (in *Info) Verify(dir *identity.Directory) error {
 }
 
 func (in *Info) checkRange() error {
-	if in.Evaluation < 0 || in.Evaluation > 1 {
+	if v := in.Evaluation; math.IsNaN(v) || v < 0 || v > 1 {
 		return ErrOutOfRange
 	}
 	return nil
@@ -265,7 +266,7 @@ func parallel(n int, fn func(k int)) {
 	wg.Wait()
 }
 
-// Marshal encodes the record as JSON for DHT storage and the TCP wire.
+// Marshal encodes the record as JSON, the form DHT frames carry it in.
 func (in *Info) Marshal() ([]byte, error) {
 	return json.Marshal(in)
 }

@@ -3,31 +3,73 @@ package peer
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
+	"time"
 
-	"mdrep/internal/wire"
+	"mdrep/internal/eval"
+	"mdrep/internal/identity"
 )
 
 // FuzzExchangeFrameDecode drives the evaluation-exchange codec with
-// arbitrary bytes: both the request the server decodes and the response
-// the client decodes must error on malformed input, never panic.
+// arbitrary bytes. Decoding them as a request or a response must error
+// or succeed, never panic; a body either decoder accepts must re-encode
+// to the same bytes, and a list may not hold more records than its bytes
+// can. The same bytes, read as a recipe for records, must survive
+// encode and decode bit for bit.
 func FuzzExchangeFrameDecode(f *testing.F) {
-	var buf bytes.Buffer
-	_ = wire.WriteFrame(&buf, exchangeRequest{Method: "evaluations"})
-	f.Add(buf.Bytes())
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], wire.MaxFrame+1)
-	f.Add(hdr[:])                                       // oversize declaration
-	f.Add([]byte{0, 0})                                 // truncated header
-	f.Add(append([]byte{0, 0, 0, 50}, `{"method":`...)) // truncated body
-	f.Add(append([]byte{0, 0, 0, 2}, `[]`...))          // wrong JSON shape
+	req, _ := appendRequest(nil, exchangeRequest{Method: methodEvaluations})
+	f.Add(req)
+	f.Add(appendResponse(nil, &exchangeResponse{Evaluations: goldenInfos}))
+	f.Add(appendResponse(nil, &exchangeResponse{Refused: true, Error: "no"}))
+	f.Add(binary.AppendUvarint([]byte("EXR1\x00"), 1<<62)) // count 2^62 in 14 bytes
+	f.Add([]byte(`{"method":"evaluations"}`))              // the JSON request of old
+	f.Add([]byte("EXR1\x00\x80\x00"))                      // non-minimal count
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req exchangeRequest
-		_ = wire.ReadFrame(bytes.NewReader(data), &req)
-		var resp exchangeResponse
-		_ = wire.ReadFrame(bytes.NewReader(data), &resp)
-		// Reaching here without a panic is the property; decode errors
-		// are the expected outcome for malformed frames.
+		if req, err := decodeRequest(data); err == nil {
+			if back, err := appendRequest(nil, req); err != nil || !bytes.Equal(back, data) {
+				t.Fatalf("accepted request re-encodes to %q, %v", back, err)
+			}
+		}
+		if resp, err := decodeResponse(data); err == nil {
+			if len(resp.Evaluations) > len(data)/minRecordSize {
+				t.Fatalf("%d records decoded from %d bytes", len(resp.Evaluations), len(data))
+			}
+			if back := appendResponse(nil, &resp); !bytes.Equal(back, data) {
+				t.Fatalf("accepted response re-encodes to %q", back)
+			}
+		}
+		infos := recordsFrom(data)
+		resp, err := decodeResponse(appendResponse(nil, &exchangeResponse{Evaluations: infos}))
+		if err != nil || !sameInfos(resp.Evaluations, infos) {
+			t.Fatalf("round trip of %+v: %+v, %v", infos, resp.Evaluations, err)
+		}
 	})
+}
+
+// recordsFrom reads data as a recipe for records, 11 bytes each: an
+// owner, a file, a timestamp and a list signature from small sets, so
+// runs form and break, the evaluation's bits (any float64, NaN payloads
+// included) and a signature length, 0 meaning nil.
+func recordsFrom(data []byte) []eval.Info {
+	owners := []identity.PeerID{"<&", "\u2028", ""}
+	files := []eval.FileID{"f", "<&", "\u2028", ""}
+	var infos []eval.Info
+	for ; len(data) >= 11; data = data[11:] {
+		in := eval.Info{
+			OwnerID:    owners[int(data[0]&0x0f)%len(owners)],
+			FileID:     files[data[1]&3],
+			Timestamp:  time.Duration(int8(data[1]) >> 5),
+			Evaluation: math.Float64frombits(binary.BigEndian.Uint64(data[2:10])),
+		}
+		if data[0]&0x10 != 0 {
+			in.ListSignature = []byte{data[0] >> 5, 0xff}
+		}
+		if n := int(data[10] % 70); n > 0 {
+			in.Signature = bytes.Repeat([]byte{data[10]}, n)
+		}
+		infos = append(infos, in)
+	}
+	return infos
 }

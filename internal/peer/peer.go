@@ -216,7 +216,7 @@ func (p *Peer) RateUser(target identity.PeerID, value float64) error {
 	if target == p.ID() {
 		return fault.Terminal(errors.New("peer: self-rating"))
 	}
-	if value < 0 || value > 1 {
+	if math.IsNaN(value) || value < 0 || value > 1 {
 		return fault.Terminal(fmt.Errorf("peer: rating %v outside [0,1]", value))
 	}
 	p.mu.Lock()

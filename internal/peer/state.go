@@ -3,6 +3,7 @@ package peer
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -145,7 +146,7 @@ func (p *Peer) RestoreState(st *State) error {
 		if target == p.ID() {
 			continue
 		}
-		if v < 0 || v > 1 {
+		if math.IsNaN(v) || v < 0 || v > 1 {
 			return fault.Terminal(fmt.Errorf("peer: restored rating %v outside [0,1]", v))
 		}
 		rating[target] = v

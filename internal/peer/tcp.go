@@ -15,24 +15,18 @@ import (
 
 // The TCP exchange lets participants fetch each other's signed evaluation
 // lists over the network (§4.1 step 4). Each fetch is one
-// request/response exchange in internal/wire framing, over a connection
+// request/response exchange of internal/wire frames, over a connection
 // the client keeps for later fetches from the same peer:
 //
-//	→ {"method":"evaluations"}
-//	← {"evaluations":[EvaluationInfo…]} | {"error":"…"}
+//	→ "EXQ1", method "evaluations", the optional TRC1 trace header
+//	← "EXR1", the evaluation list | "EXR1", the serving peer's error
+//
+// The bodies have one fixed binary layout (codec.go). A list writes each
+// owner, timestamp and list signature once per run of records that share
+// them, and each record as its file, evaluation bits and signature.
 //
 // Addresses are resolved through a Resolver (peer ID → host:port); in a
 // deployment this mapping rides on the DHT like any other record.
-
-type exchangeRequest struct {
-	Method string `json:"method"`
-	Trace  []byte `json:"trace,omitempty"`
-}
-
-type exchangeResponse struct {
-	Error       string      `json:"error,omitempty"`
-	Evaluations []eval.Info `json:"evaluations,omitempty"`
-}
 
 // Resolver maps peer IDs to transport addresses.
 type Resolver interface {
@@ -104,15 +98,22 @@ func (e *TCPExchange) FetchEvaluations(sc obs.SpanContext, target identity.PeerI
 	if err != nil {
 		return nil, err
 	}
-	req := exchangeRequest{Method: "evaluations", Trace: sp.Context().MarshalWire()}
+	req, err := appendRequest(make([]byte, wire.FrameHeader, 64), exchangeRequest{Method: methodEvaluations, Trace: sp.Context().MarshalWire()})
+	if err != nil {
+		return nil, err
+	}
 	var resp exchangeResponse
 	err = e.pool.Do(addr, e.DialTimeout, e.CallTimeout, func(rw io.ReadWriter) error {
 		e.obs.countFetch()
 		rw = e.obs.wrap(rw)
-		if err := wire.WriteFrame(rw, req); err != nil {
+		if err := wire.WriteRawFrame(rw, req); err != nil {
 			return fmt.Errorf("send to %s: %w", addr, err)
 		}
-		if err := wire.ReadFrame(rw, &resp); err != nil {
+		body, err := wire.ReadRawFrame(rw)
+		if err == nil {
+			resp, err = decodeResponse(body)
+		}
+		if err != nil {
 			return fmt.Errorf("recv from %s: %w", addr, err)
 		}
 		return nil
@@ -122,7 +123,7 @@ func (e *TCPExchange) FetchEvaluations(sc obs.SpanContext, target identity.PeerI
 		// an explicit error frame from the peer below stays terminal.
 		return nil, fault.Unreachable(fmt.Errorf("peer: %s: %w", target, err))
 	}
-	if resp.Error != "" {
+	if resp.Refused {
 		return nil, fault.Terminal(fmt.Errorf("peer: %s: %s", target, resp.Error))
 	}
 	return resp.Evaluations, nil
@@ -172,25 +173,30 @@ func (s *ExchangeServer) Addr() string { return s.srv.Addr() }
 // requests being served to finish.
 func (s *ExchangeServer) Close() error { return s.srv.Close() }
 
-// serve answers one request read from rw.
+// serve answers one request read from rw. A body that is not a request
+// closes the connection; an unknown method gets an error reply.
 func (s *ExchangeServer) serve(rw io.ReadWriter) error {
 	o := s.observer()
 	rw = o.wrap(rw)
-	var req exchangeRequest
-	if err := wire.ReadFrame(rw, &req); err != nil {
+	body, err := wire.ReadRawFrame(rw)
+	if err != nil {
+		return err
+	}
+	req, err := decodeRequest(body)
+	if err != nil {
 		return err
 	}
 	o.countServe()
 	sp := obs.StartSpan(obs.SpanContextFromWire(req.Trace), spanServe)
-	if req.Method != "evaluations" {
-		sp.EndErr(fmt.Errorf("unknown method %q", req.Method)) //mdrep:allow faultwrap: feeds the serve span's status only, never returned to a retry loop
-		return wire.WriteFrame(rw, exchangeResponse{Error: fmt.Sprintf("unknown method %q", req.Method)})
+	var resp exchangeResponse
+	if req.Method == methodEvaluations {
+		resp.Evaluations, err = s.source()
+	} else {
+		err = fmt.Errorf("unknown method %d", req.Method) //mdrep:allow faultwrap: feeds the error reply and the serve span's status only, never returned to a retry loop
 	}
-	infos, err := s.source()
 	if err != nil {
-		sp.EndErr(err)
-		return wire.WriteFrame(rw, exchangeResponse{Error: err.Error()})
+		resp = exchangeResponse{Refused: true, Error: err.Error()}
 	}
-	sp.End()
-	return wire.WriteFrame(rw, exchangeResponse{Evaluations: infos})
+	sp.EndErr(err)
+	return wire.WriteRawFrame(rw, appendResponse(make([]byte, wire.FrameHeader), &resp))
 }

@@ -1,9 +1,8 @@
 package peer
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
+	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -77,29 +76,87 @@ func TestTCPExchangeUnknownPeer(t *testing.T) {
 	}
 }
 
+// exchangeConn dials srv for a test that speaks the protocol by hand.
+func exchangeConn(t *testing.T, srv *ExchangeServer) net.Conn {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// roundTrip sends a request with method on conn and decodes the reply.
+func roundTrip(t *testing.T, conn net.Conn, method byte) exchangeResponse {
+	t.Helper()
+	req, err := appendRequest(make([]byte, wire.FrameHeader), exchangeRequest{Method: method})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteRawFrame(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	body, err := wire.ReadRawFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := decodeResponse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 func TestTCPExchangeUnknownMethod(t *testing.T) {
 	srv, err := ServeExchange("127.0.0.1:0", func() ([]eval.Info, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = srv.Close() })
-	conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	resp := roundTrip(t, exchangeConn(t, srv), 7)
+	if !resp.Refused || !strings.Contains(resp.Error, "unknown method") {
+		t.Fatalf("response: %+v", resp)
+	}
+}
+
+// TestTCPExchangeRefusesJSONRequest sends the JSON request of the
+// protocol's earlier version: the server closes that connection or
+// answers with an error, never leaves it hanging, and goes on serving
+// its other connections.
+func TestTCPExchangeRefusesJSONRequest(t *testing.T) {
+	infos := []eval.Info{{FileID: "f", OwnerID: "o", Evaluation: 0.5}}
+	srv, err := ServeExchange("127.0.0.1:0", func() ([]eval.Info, error) { return infos, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = conn.Close() }()
-	if err := conn.SetDeadline(time.Now().Add(2 * time.Second)); err != nil {
+	t.Cleanup(func() { _ = srv.Close() })
+	open := exchangeConn(t, srv)
+	old := exchangeConn(t, srv)
+	if err := wire.WriteFrame(old, map[string]string{"method": "evaluations"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, exchangeRequest{Method: "bogus"}); err != nil {
-		t.Fatal(err)
+	body, err := wire.ReadRawFrame(old)
+	switch {
+	case err == nil:
+		if resp, err := decodeResponse(body); err != nil || !resp.Refused {
+			t.Fatalf("reply to a JSON request: %+v, %v", resp, err)
+		}
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		t.Fatal("JSON request left hanging")
 	}
-	var resp exchangeResponse
-	if err := wire.ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
+	if resp := roundTrip(t, open, methodEvaluations); resp.Refused || len(resp.Evaluations) != 1 {
+		t.Fatalf("other connection: %+v", resp)
 	}
-	if !strings.Contains(resp.Error, "unknown method") {
-		t.Fatalf("response: %+v", resp)
+	r := NewStaticResolver()
+	r.Set("o", srv.Addr())
+	e := NewTCPExchange(r)
+	defer func() { _ = e.Close() }()
+	if got, err := e.FetchEvaluations(obs.SpanContext{}, "o"); err != nil || len(got) != 1 {
+		t.Fatalf("fetch after a JSON request: %v, %v", got, err)
 	}
 }
 
@@ -149,34 +206,5 @@ func TestTCPExchangeSurvivesServerRestart(t *testing.T) {
 	serve(srv.Addr())
 	if _, err := e.FetchEvaluations(obs.SpanContext{}, "restarting"); err != nil {
 		t.Fatalf("fetch after restart: %v", err)
-	}
-}
-
-// TestExchangeFrameBytesMatchMarshal pins the evaluation exchange's
-// request and response frames, list signatures included, to a 4-byte
-// big-endian length followed by json.Marshal, with strings JSON escapes.
-func TestExchangeFrameBytesMatchMarshal(t *testing.T) {
-	infos := []eval.Info{
-		{FileID: "<i>&\u2028", OwnerID: "o&<>", Evaluation: 0.125, Timestamp: 3, Signature: []byte{9, 8}, ListSignature: []byte{7, 6, 2}},
-		{FileID: "plain", OwnerID: "o&<>", Evaluation: 1, Timestamp: 3},
-	}
-	for _, v := range []any{
-		exchangeRequest{Method: "evaluations", Trace: []byte("<trace>")},
-		exchangeRequest{Method: "\u2028&"},
-		exchangeResponse{Evaluations: infos},
-		exchangeResponse{Error: "unknown method \"<&>\""},
-	} {
-		body, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
-		var buf bytes.Buffer
-		if err := wire.WriteFrame(&buf, v); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("frame of %+v:\n got %q\nwant %q", v, buf.Bytes(), want)
-		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Binary records are the framing of the durable-state subsystem
-// (internal/journal): unlike the JSON frames of the TCP protocols, a
+// (internal/journal): unlike the frames of the TCP protocols, a
 // record that is read back must be *provably* the record that was
 // written, because a crash can tear a write anywhere. Each record is
 //

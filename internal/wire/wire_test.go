@@ -128,3 +128,49 @@ func checkFrameBytes(t *testing.T, v any) {
 		t.Fatalf("WriteFrame(%T) = %q, want %q", v, buf.Bytes(), want)
 	}
 }
+
+// countingWriter counts Write calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestRawFrameRoundTrip: WriteRawFrame fills the reserved header and
+// writes the frame in one Write, again the same bytes on a second call,
+// and ReadRawFrame returns the body.
+func TestRawFrameRoundTrip(t *testing.T) {
+	frame := append(make([]byte, FrameHeader), "body\x00"...)
+	var w countingWriter
+	for i := 0; i < 2; i++ {
+		if err := WriteRawFrame(&w, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.writes != 2 || w.String() != strings.Repeat("\x00\x00\x00\x05body\x00", 2) {
+		t.Fatalf("%d writes of %q", w.writes, w.String())
+	}
+	for i := 0; i < 2; i++ {
+		body, err := ReadRawFrame(&w)
+		if err != nil || string(body) != "body\x00" {
+			t.Fatalf("ReadRawFrame = %q, %v", body, err)
+		}
+	}
+}
+
+func TestWriteRawFrameRefusesBadFrames(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteRawFrame(&buf, []byte{0, 0}); err == nil {
+		t.Fatal("frame shorter than its header written")
+	}
+	if err := WriteRawFrame(&buf, make([]byte, FrameHeader+MaxFrame+1)); err == nil {
+		t.Fatal("oversize frame written")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused frames wrote %d bytes", buf.Len())
+	}
+}
