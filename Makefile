@@ -24,13 +24,14 @@ test:
 	$(GO) test ./...
 
 # race runs the whole suite under the race detector, then the signature
-# checks, the evaluation exchange's TCP and codec tests and the
-# daemon-versus-engine differential test at one and four CPUs:
-# eval.VerifyAll splits its checks by GOMAXPROCS, and JudgeFile's R_f
-# must keep the engine's bits either way.
+# checks, the evaluation exchange's TCP and codec tests, the
+# daemon-versus-engine differential test and the DHT retrieve tests at
+# one and four CPUs: eval.VerifyAll splits its checks by GOMAXPROCS,
+# JudgeFile's R_f must keep the engine's bits either way, and retrieves
+# share each node's remembered root arcs with Stabilize and upkeep.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -cpu 1,4 -run 'Verify|Signed|Sync|Judge|Storage|Exchange|TrustRowMatchesEngine' \
+	$(GO) test -race -count=3 -cpu 1,4 -run 'Verify|Signed|Sync|Judge|Storage|Exchange|TrustRowMatchesEngine|Retrieve' \
 		./internal/eval ./internal/peer ./internal/dht
 
 # fuzz runs every fuzz target in the tree (outside vendor/ and the
@@ -188,7 +189,7 @@ bench:
 # run down, so min-of-N damps the noise a single long run cannot.
 # Five repeats, not three: fsync-bound and sub-microsecond benchmarks
 # still flapped past the 15% gate run-to-run at min-of-3 on 1-CPU hosts.
-BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkShardedIngest|BenchmarkWalkEstimate|BenchmarkWalkEstimateDHT|BenchmarkTCPRoundTrip|BenchmarkExchangeFetch|BenchmarkPeerSync|BenchmarkPeerTrustRow
+BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkDHTRetrieve|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkShardedIngest|BenchmarkWalkEstimate|BenchmarkWalkEstimateDHT|BenchmarkTCPRoundTrip|BenchmarkExchangeFetch|BenchmarkPeerSync|BenchmarkPeerTrustRow
 BENCH_COUNT := 5
 BENCH_TIME  := 0.5s
 

@@ -459,6 +459,65 @@ func BenchmarkDHTLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkDHTRetrieve times one Retrieve of a present key on an
+// in-memory 8-node ring, from a node the key is not homed on, and
+// reports the RPCs it sent. known_root is the warm path: the node has
+// met every key's root, so each retrieve goes straight to it. lookup is
+// the full path a cold node pays for the same keys: Lookup, then the
+// root's retrieve.
+func BenchmarkDHTRetrieve(b *testing.B) {
+	ring, err := dht.NewRing(8, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	via := ring.Nodes[0]
+	pred, ok := via.PredecessorRef()
+	if !ok {
+		b.Fatal("ring did not converge")
+	}
+	var keys []dht.ID
+	for i := 0; len(keys) < 256; i++ {
+		key := dht.HashKey(fmt.Sprintf("bench-retrieve-%d", i))
+		if dht.Between(key, pred.ID, via.Self().ID) {
+			continue // homed on via: no RPC either way
+		}
+		rec := dht.StoredRecord{Key: key, Info: eval.Info{FileID: "f", OwnerID: "bench-owner", Evaluation: 0.9, Timestamp: 1}}
+		if err := ring.Nodes[1].Publish([]dht.StoredRecord{rec}); err != nil {
+			b.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	run := func(b *testing.B, retrieve func(dht.ID) ([]dht.StoredRecord, error)) {
+		ring.Net.ResetMessages()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			recs, err := retrieve(keys[i%len(keys)])
+			if err != nil || len(recs) != 1 {
+				b.Fatalf("retrieve: %d records, %v", len(recs), err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(ring.Net.Messages())/float64(b.N), "rpcs/op")
+	}
+	b.Run("known_root", func(b *testing.B) {
+		for _, key := range keys {
+			if _, err := via.Retrieve(obs.SpanContext{}, key); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run(b, func(key dht.ID) ([]dht.StoredRecord, error) { return via.Retrieve(obs.SpanContext{}, key) })
+	})
+	b.Run("lookup", func(b *testing.B) {
+		run(b, func(key dht.ID) ([]dht.StoredRecord, error) {
+			root, err := via.Lookup(obs.SpanContext{}, key)
+			if err != nil {
+				return nil, err
+			}
+			return ring.Net.Retrieve(obs.SpanContext{}, root.Addr, key)
+		})
+	})
+}
+
 // BenchmarkDHTPublish measures a replicated publish on a 64-node ring.
 func BenchmarkDHTPublish(b *testing.B) {
 	ring, err := dht.NewRing(64, nil)

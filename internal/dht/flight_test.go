@@ -75,33 +75,43 @@ func TestRetrySuccessDoesNotDump(t *testing.T) {
 
 // TestWireTracePropagation: a traced Retrieve through the in-memory
 // transport must land the server-side handler spans on the caller's
-// trace — one stitched tree, not a forest.
+// trace — one stitched tree, not a forest — and each dht.retrieve span
+// says how it found the key's root.
 func TestWireTracePropagation(t *testing.T) {
-	rec := withFlightTracing(t, 5)
+	fr := withFlightTracing(t, 5)
 	r, err := NewRing(8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := HashKey("traced-file")
+	via := r.Nodes[0]
+	remote := keysHomedOn(t, r, r.Nodes[1], "traced-remote", 1)[0]
+	own := keysHomedOn(t, r, via, "traced-own", 1)[0]
+	for _, key := range []ID{remote, own} {
+		if err := via.Publish([]StoredRecord{rec(key, "o", 0.9, 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	root := obs.StartRoot("walk.row_fetch")
-	if _, err := r.Nodes[0].Retrieve(root.Context(), key); err != nil {
-		t.Fatal(err)
+	// A lookup, then the remembered arc, then the node's own arc.
+	for _, key := range []ID{remote, remote, own} {
+		if _, err := via.Retrieve(root.Context(), key); err != nil {
+			t.Fatal(err)
+		}
 	}
 	root.End()
 	trace := root.Context().Trace
-	recs := rec.Snapshot()
-	onTrace := 0
-	for _, rr := range recs {
+	var recs []flight.Record
+	for _, rr := range fr.Snapshot() {
 		if rr.Trace == trace {
-			onTrace++
+			recs = append(recs, rr)
 		}
 	}
-	if onTrace < 3 {
-		t.Fatalf("stitched trace holds %d records, want root + retrieve + rpc hops:\n%s",
-			onTrace, flight.RenderTraces(recs))
-	}
 	rendered := flight.RenderTraces(recs)
-	for _, want := range []string{"walk.row_fetch", "  " + spanRetrieve, spanRPCFindSuccessor} {
+	if len(recs) < 3 {
+		t.Fatalf("stitched trace holds %d records, want root + retrieve + rpc hops:\n%s", len(recs), rendered)
+	}
+	for _, want := range []string{"walk.row_fetch", "  " + spanRetrieve, spanRPCFindSuccessor,
+		attrVia + "=" + viaLookup, attrVia + "=" + viaMemo, attrVia + "=" + viaOwn} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("rendered trace missing %q:\n%s", want, rendered)
 		}

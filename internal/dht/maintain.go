@@ -7,8 +7,9 @@ import (
 )
 
 // Maintainer drives a node's periodic upkeep in the background:
-// stabilisation, incremental finger repair, and storage sweeps. It is the
-// loop a deployed node runs for its lifetime (cmd/mdrep-dht uses it).
+// stabilisation, incremental finger repair, re-reading the remembered
+// root arcs, and storage sweeps. It is the loop a deployed node runs for
+// its lifetime (cmd/mdrep-dht uses it).
 type Maintainer struct {
 	node     *Node
 	interval time.Duration
@@ -17,9 +18,9 @@ type Maintainer struct {
 }
 
 // Maintain starts the upkeep loop at the given interval and returns its
-// handle; call Stop to halt it. One finger is refreshed per tick (full
-// rebuilds are only needed at cold start), and storage is swept once per
-// full finger rotation.
+// handle; call Stop to halt it. One finger and one remembered root arc
+// are refreshed per tick (full rebuilds are only needed at cold start),
+// and storage is swept once per full finger rotation.
 func Maintain(node *Node, interval time.Duration) (*Maintainer, error) {
 	if node == nil {
 		return nil, fault.Terminal(errors.New("dht: nil node"))
@@ -47,6 +48,7 @@ func (m *Maintainer) loop() {
 		case <-ticker.C:
 			m.node.Stabilize()
 			m.node.FixFinger(finger % Bits)
+			m.node.refreshArc(finger)
 			finger++
 			if finger%Bits == 0 {
 				m.node.cfg.Storage.Sweep()

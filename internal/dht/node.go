@@ -54,6 +54,9 @@ type Node struct {
 	pred    NodeRef
 	hasPred bool
 	fingers [Bits]NodeRef
+	// arcs remembers, sorted by member ID, the arc of each ring member
+	// a Retrieve has met as a root (roots.go): at most one per member.
+	arcs []arc
 
 	// Lookups counts FindSuccessor hops served, for experiment E6.
 	lookupHops uint64
@@ -307,6 +310,7 @@ func (n *Node) adoptSuccessor(s NodeRef) {
 func (n *Node) dropSuccessor(dead NodeRef) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.forgetArcLocked(dead.Addr)
 	kept := n.succs[:0]
 	for _, s := range n.succs {
 		if s.Addr != dead.Addr {
@@ -364,6 +368,7 @@ func (n *Node) checkPredecessor() {
 	if n.client.Ping(obs.SpanContext{}, pred.Addr) != nil {
 		n.mu.Lock()
 		n.hasPred = false
+		n.forgetArcLocked(pred.Addr)
 		n.mu.Unlock()
 	}
 }
@@ -430,38 +435,63 @@ func (n *Node) Publish(recs []StoredRecord) error {
 	return firstErr
 }
 
-// Retrieve fetches the records stored under key (§4.1 step 3), trying the
-// root and then its replicas.
+// Retrieve fetches the records stored under key (§4.1 step 3) from the
+// key's root, and from the root's replicas when the root has none. A
+// key in the node's own arc is read from its own storage, and a key in
+// the remembered arc of a member met as a root goes straight to that
+// member; if that source fails or holds nothing, its arc is forgotten
+// and the key takes the full path: a lookup, the root, then the
+// replicas. A root found by lookup that answers has its arc read once,
+// so later keys in it skip the lookup (DESIGN.md §7, §11).
 func (n *Node) Retrieve(sc obs.SpanContext, key ID) (out []StoredRecord, err error) {
 	tsp := obs.StartSpan(sc, spanRetrieve)
 	walked := 1 // the root is always consulted
+	known, via := n.knownRoot(key)
 	defer func() {
 		if n.obs != nil {
 			n.obs.walkDepth.Observe(float64(walked))
+			n.obs.root(via).Inc()
 		}
 		tsp.Attr(attrWalked, int64(walked))
+		tsp.AttrStr(attrVia, via)
 		tsp.EndErr(err)
 	}()
 	sc = tsp.Context()
+	var recs []StoredRecord
+	var rootErr error
+	if via != viaLookup {
+		if recs, rootErr = n.retrieveFrom(sc, known, key); rootErr == nil && len(recs) > 0 {
+			return recs, nil
+		}
+		if via == viaMemo {
+			n.forgetArc(known.Addr)
+		}
+		via = viaLookup
+	}
 	root, err := n.Lookup(sc, key)
 	if err != nil {
 		return nil, err
 	}
-	var recs []StoredRecord
-	var rootErr error
-	if root.Addr == n.self.Addr {
-		recs = n.HandleRetrieve(key)
-	} else {
-		recs, rootErr = n.client.Retrieve(sc, root.Addr, key)
-	}
-	if rootErr == nil && len(recs) > 0 {
-		return recs, nil
+	// When the lookup names the source just asked, its answer stands as
+	// the root's: asking again would cost an RPC and change nothing.
+	if known.IsZero() || root.Addr != known.Addr {
+		recs, rootErr = n.retrieveFrom(sc, root, key)
+		if rootErr == nil && len(recs) > 0 {
+			if root.Addr != n.self.Addr {
+				n.learnArc(sc, root, key)
+			}
+			return recs, nil
+		}
 	}
 	// Root unreachable or empty-handed: an empty answer may just mean
 	// the root rejoined after a crash and has not been repaired yet, so
 	// ask its replicas before concluding the records do not exist.
-	list, lerr := n.client.Successors(sc, root.Addr)
-	if lerr != nil {
+	var list []NodeRef
+	var lerr error
+	if root.Addr != n.self.Addr {
+		list, lerr = n.client.Successors(sc, root.Addr)
+	}
+	if root.Addr == n.self.Addr || lerr != nil {
 		list = n.SuccessorList()
 	}
 	for _, s := range list {
@@ -477,6 +507,15 @@ func (n *Node) Retrieve(sc obs.SpanContext, key ID) (out []StoredRecord, err err
 		return nil, rootErr
 	}
 	return recs, nil
+}
+
+// retrieveFrom reads key at root: from the node's own storage when root
+// is this node, with one retrieve RPC otherwise.
+func (n *Node) retrieveFrom(sc obs.SpanContext, root NodeRef, key ID) ([]StoredRecord, error) {
+	if root.Addr == n.self.Addr {
+		return n.HandleRetrieve(key), nil
+	}
+	return n.client.Retrieve(sc, root.Addr, key)
 }
 
 // Leave gracefully removes the node from the ring: its stored records are

@@ -78,12 +78,26 @@ func (c *RetryClient) Instrument(reg *metrics.Registry, clock obs.Clock, labels 
 }
 
 // nodeObs is the ring-maintenance surface of a Node: stabilisation
-// rounds, forwarded lookup hops, and how many nodes a Retrieve had to
-// walk (root plus replicas) before answering.
+// rounds, forwarded lookup hops, how many nodes a Retrieve had to walk
+// (root plus replicas) before answering, and how it found the root.
 type nodeObs struct {
 	stabilizations *metrics.Counter   // dht_stabilize_rounds_total
 	lookupHops     *metrics.Counter   // dht_lookup_hops_total
 	walkDepth      *metrics.Histogram // dht_replica_walk_depth
+	rootOwn        *metrics.Counter   // dht_retrieve_root_total{via="own"}
+	rootMemo       *metrics.Counter   // dht_retrieve_root_total{via="memo"}
+	rootLookup     *metrics.Counter   // dht_retrieve_root_total{via="lookup"}
+}
+
+// root maps a via value from Retrieve to its counter.
+func (o *nodeObs) root(via string) *metrics.Counter {
+	switch via {
+	case viaOwn:
+		return o.rootOwn
+	case viaMemo:
+		return o.rootMemo
+	}
+	return o.rootLookup
 }
 
 // Instrument publishes the node's ring metrics into reg. Call before the
@@ -92,9 +106,15 @@ func (n *Node) Instrument(reg *metrics.Registry, labels ...string) {
 	if reg == nil {
 		return
 	}
+	root := func(via string) *metrics.Counter {
+		return reg.Counter("dht_retrieve_root_total", append([]string{"via", via}, labels...)...)
+	}
 	n.obs = &nodeObs{
 		stabilizations: reg.Counter("dht_stabilize_rounds_total", labels...),
 		lookupHops:     reg.Counter("dht_lookup_hops_total", labels...),
 		walkDepth:      reg.Histogram("dht_replica_walk_depth", []float64{1, 2, 3, 4, 6, 8, 12, 16}, labels...),
+		rootOwn:        root(viaOwn),
+		rootMemo:       root(viaMemo),
+		rootLookup:     root(viaLookup),
 	}
 }

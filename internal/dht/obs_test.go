@@ -66,12 +66,24 @@ func TestNodeInstrument(t *testing.T) {
 	for _, n := range r.Nodes {
 		n.Instrument(reg)
 	}
-	key := HashKey("obs-file")
-	if err := r.Nodes[0].Publish([]StoredRecord{rec(key, "o", 0.9, 1)}); err != nil {
-		t.Fatal(err)
+	via := r.Nodes[4]
+	remote := keysHomedOn(t, r, r.Nodes[1], "obs-remote", 1)[0]
+	own := keysHomedOn(t, r, via, "obs-own", 1)[0]
+	for _, key := range []ID{remote, own} {
+		if err := r.Nodes[0].Publish([]StoredRecord{rec(key, "o", 0.9, 1)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := r.Nodes[4].Retrieve(obs.SpanContext{}, key); err != nil {
-		t.Fatal(err)
+	// A lookup, then the remembered arc, then the node's own arc.
+	for _, key := range []ID{remote, remote, own} {
+		if _, err := via.Retrieve(obs.SpanContext{}, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, how := range []string{viaLookup, viaMemo, viaOwn} {
+		if got := reg.Counter("dht_retrieve_root_total", "via", how).Load(); got != 1 {
+			t.Errorf("dht_retrieve_root_total{via=%q} = %d, want 1", how, got)
+		}
 	}
 	for _, n := range r.Nodes {
 		n.Stabilize()

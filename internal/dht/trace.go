@@ -23,6 +23,16 @@ const (
 	attrOp      = "op"
 	attrAttempt = "attempt"
 	attrWalked  = "walked"
+	attrVia     = "via"
+)
+
+// How a Retrieve found the root it read (the via attribute of
+// dht.retrieve and the via label of dht_retrieve_root_total): its own
+// arc, a remembered member's arc, or a lookup.
+const (
+	viaOwn    = "own"
+	viaMemo   = "memo"
+	viaLookup = "lookup"
 )
 
 // dumpReasonExhausted prefixes the flight-dump reason when a retry loop

@@ -78,6 +78,71 @@ func TestDHTSourceServesEmptyRows(t *testing.T) {
 	}
 }
 
+// keyLog records the keys a DHTSource retrieves through a ring node.
+type keyLog struct {
+	node *dht.Node
+	keys []dht.ID
+}
+
+func (f *keyLog) Retrieve(sc obs.SpanContext, key dht.ID) ([]dht.StoredRecord, error) {
+	f.keys = append(f.keys, key)
+	return f.node.Retrieve(sc, key)
+}
+
+// Once the fetching node has met every row's root, an estimate costs
+// one RPC for each distinct row homed on another node, and none for a
+// row in the fetching node's own arc.
+func TestDHTSourceWarmRingOneRPCPerRemoteRow(t *testing.T) {
+	tm, err := RandomTM(64, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := dht.NewRing(8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PublishRows(ring.Nodes[0], tm, 1); err != nil {
+		t.Fatal(err)
+	}
+	via := ring.Nodes[3]
+	log := &keyLog{node: via}
+	src, err := NewDHTSource(log, tm.N(), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < tm.N(); u++ {
+		if _, _, err := src.Row(obs.SpanContext{}, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.SetEpoch(1)
+	log.keys = nil
+	est, err := New(src, Config{Walks: 2000, Depth: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring.Net.ResetMessages()
+	if _, err := est.Estimate(2); err != nil {
+		t.Fatal(err)
+	}
+	pred, ok := via.PredecessorRef()
+	if !ok {
+		t.Fatal("fetching node has no predecessor")
+	}
+	remote := 0
+	for _, key := range log.keys {
+		if !dht.Between(key, pred.ID, via.Self().ID) {
+			remote++
+		}
+	}
+	if remote == 0 || remote == len(log.keys) {
+		t.Fatalf("%d of %d rows remote; the fixture should mix both", remote, len(log.keys))
+	}
+	if got := ring.Net.Messages(); got != uint64(remote) {
+		t.Fatalf("estimate over %d rows (%d remote) cost %d RPCs, want %d", len(log.keys), remote, got, remote)
+	}
+}
+
 // stubFetcher counts retrieves and serves canned responses per key.
 type stubFetcher struct {
 	calls int
