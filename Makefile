@@ -189,13 +189,13 @@ bench:
 # run down, so min-of-N damps the noise a single long run cannot.
 # Five repeats, not three: fsync-bound and sub-microsecond benchmarks
 # still flapped past the 15% gate run-to-run at min-of-3 on 1-CPU hosts.
-BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkDHTRetrieve|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkShardedIngest|BenchmarkWalkEstimate|BenchmarkWalkEstimateDHT|BenchmarkTCPRoundTrip|BenchmarkExchangeFetch|BenchmarkPeerSync|BenchmarkPeerTrustRow
+BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkDHTRetrieve|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkShardedIngest|BenchmarkWalkEstimate|BenchmarkWalkEstimateDHT|BenchmarkTCPRoundTrip|BenchmarkDHTFrameCodec|BenchmarkExchangeFetch|BenchmarkPeerSync|BenchmarkPeerTrustRow
 BENCH_COUNT := 5
 BENCH_TIME  := 0.5s
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_LIST)' -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) \
-		-benchmem mdrep mdrep/internal/massim mdrep/internal/walk \
+		-benchmem mdrep mdrep/internal/dht mdrep/internal/massim mdrep/internal/walk \
 		| $(GO) run ./cmd/mdrep-bench > BENCH_$$(date +%Y-%m-%d).json
 	@echo "wrote BENCH_$$(date +%Y-%m-%d).json"
 
@@ -207,7 +207,7 @@ bench-gate:
 	if [ -z "$$base" ]; then echo "bench-gate: no BENCH_*.json baseline committed" >&2; exit 1; fi; \
 	echo "bench-gate: baseline $$base"; \
 	$(GO) test -run '^$$' -bench '$(BENCH_LIST)' -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) \
-		-benchmem mdrep mdrep/internal/massim mdrep/internal/walk \
+		-benchmem mdrep mdrep/internal/dht mdrep/internal/massim mdrep/internal/walk \
 		| $(GO) run ./cmd/mdrep-bench -gate "$$base"
 
 clean:

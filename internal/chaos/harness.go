@@ -264,9 +264,9 @@ func (nw *Network) Publish(recs []dht.StoredRecord, ts time.Duration) error {
 	}
 	for _, r := range recs {
 		r.Info.Timestamp = ts
-		// One record per Publish call: Publish groups records by key in a
-		// map, and map iteration order would make the chaos RNG draw
-		// sequence — and thus the whole run — nondeterministic.
+		// One record per Publish call, in recs order: the chaos RNG
+		// draws once per RPC, so this call order fixes each schedule's
+		// fault sequence. (A batch would go out in ascending key order.)
 		if err := live[0].Publish([]dht.StoredRecord{r}); err != nil {
 			return err
 		}

@@ -185,14 +185,15 @@ func (e *Engine) liveEvaluators(f eval.FileID, now time.Duration) fileEvaluators
 // pairScratch is a dense FM pair accumulator: per co-evaluator j the
 // running Σ|E_ik − E_jk| and the co-evaluated count, with a
 // generation-stamped touched set, so clearing between rows costs
-// O(co-evaluators), not O(n). It is n wide: each Sharded shard keeps
-// one across rebuilds, and a bare build allocates one.
+// O(co-evaluators), not O(n). It is n wide: each Sharded rebuild
+// worker keeps one across rebuilds, and a bare build allocates one.
 type pairScratch struct {
 	sum     []float64
 	count   []int32
 	stamp   []uint32
 	gen     uint32
 	touched []int32
+	files   []eval.FileID // the row's live files, ascending
 }
 
 func newPairScratch(n int) *pairScratch {
@@ -218,7 +219,8 @@ func (sc *pairScratch) next() {
 // columns: the row is bit-identical to buildFMRef's.
 func (e *Engine) fmRow(i int, now time.Duration, sc *pairScratch) sparse.Row {
 	sc.next()
-	for _, f := range e.stores[i].Files(now) {
+	sc.files = e.stores[i].AppendFiles(sc.files[:0], now)
+	for _, f := range sc.files {
 		fe := e.liveEvaluators(f, now)
 		pos := slices.Index(fe.peers, i)
 		if pos < 0 {

@@ -276,7 +276,7 @@ func derivedLists(s *Sharded) int {
 func liveFiles(s *Sharded, want map[eval.FileID]bool, now time.Duration) map[eval.FileID]bool {
 	out := make(map[eval.FileID]bool)
 	for _, st := range s.eng.stores {
-		for _, f := range st.Files(now) {
+		for _, f := range st.AppendFiles(nil, now) {
 			if want == nil || want[f] {
 				out[f] = true
 			}

@@ -19,36 +19,70 @@ func frame(declared uint32, body []byte) []byte {
 	return append(hdr[:], body...)
 }
 
-// FuzzWireRequestDecode throws arbitrary bytes at the server-side frame
-// decode + dispatch path: whatever arrives, the server must either
-// serve the request or return an error — never panic.
+// FuzzWireRequestDecode throws arbitrary bytes at the server-side
+// request decode + dispatch path: whatever arrives, the server must
+// either serve the request or return an error — never panic. A body the
+// decoder accepts re-encodes to itself, at the size requestSize gives,
+// and holds no more records than its bytes can.
 func FuzzWireRequestDecode(f *testing.F) {
-	valid, _ := encodeFrame(wireRequest{Method: "find_successor", ID: 42})
-	f.Add(valid)
-	store, _ := encodeFrame(wireRequest{Method: "store", Records: []StoredRecord{{Key: 7}}, Replicate: true})
-	f.Add(store)
-	f.Add(frame(12, []byte(`{"method":1}`)))       // wrong type
-	f.Add(frame(100, []byte(`{"method":"ping"}`))) // truncated body
-	f.Add(frame(wire.MaxFrame+1, nil))             // oversize declaration
-	f.Add(frame(3, []byte(`{"unterminated`)))      // declared < actual
-	f.Add([]byte{0xff})                            // truncated header
-	f.Add(frame(2, []byte("{}")))                  // empty object
+	for _, req := range goldenRequests() {
+		body, err := appendRequest(nil, &req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"method":"ping"}`))                                // the JSON request of old
+	f.Add([]byte("DHQ1\x7f"))                                         // unknown method
+	f.Add(binary.AppendUvarint([]byte("DHQ1\x06\x00"), 1<<62))        // count 2^62 in a short body
+	f.Add([]byte("DHQ1\x06\x00\x80\x00"))                             // non-minimal count
+	f.Add([]byte("DHQ1\x06\x02\x00"))                                 // replicate flag 2
+	f.Add(append([]byte("DHQ1\x05"), bytes.Repeat([]byte{1}, 24)...)) // a trace header one byte short
 
 	srv := &TCPServer{}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var req wireRequest
-		if err := wire.ReadFrame(bytes.NewReader(data), &req); err != nil {
-			return // malformed frames must error, and they did
+		req, err := decodeRequest(data)
+		if err != nil {
+			return // malformed bodies must error, and they did
+		}
+		if len(req.Records) > len(data)/minRecordSize {
+			t.Fatalf("%d records decoded from %d bytes", len(req.Records), len(data))
+		}
+		back, err := appendRequest(nil, &req)
+		if err != nil || !bytes.Equal(back, data) || requestSize(&req) != len(data) {
+			t.Fatalf("accepted request re-encodes to %q (size %d), %v", back, requestSize(&req), err)
 		}
 		// Whatever decoded must dispatch without panicking.
 		_ = srv.dispatch(nullHandler{}, req, obs.SpanContext{})
 	})
 }
 
-func encodeFrame(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := wire.WriteFrame(&buf, v)
-	return buf.Bytes(), err
+// FuzzWireResponseDecode is a client reading from a hostile server:
+// every body must decode or return an error, never panic. A body the
+// decoder accepts re-encodes to itself, at the size responseSize gives,
+// and holds no more records or nodes than its bytes can.
+func FuzzWireResponseDecode(f *testing.F) {
+	for _, resp := range goldenResponses() {
+		f.Add(appendResponse(nil, &resp))
+	}
+	f.Add(binary.AppendUvarint([]byte("DHR1\x07"), 1<<62)) // count 2^62 in a short body
+	f.Add([]byte("DHR1\x02\x80\x00"))                      // non-minimal count
+	f.Add([]byte("DHR1\x03\x02"))                          // has-node flag 2
+	f.Add([]byte("DHR1\x7f"))                              // answer to an unknown method
+	f.Add([]byte(`{"records":[]}`))                        // the JSON response of old
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp, err := decodeResponse(data)
+		if err != nil {
+			return
+		}
+		if len(resp.Records) > len(data)/minRecordSize || len(resp.Nodes) > len(data)/minNodeSize {
+			t.Fatalf("%d records and %d nodes decoded from %d bytes", len(resp.Records), len(resp.Nodes), len(data))
+		}
+		if back := appendResponse(nil, &resp); !bytes.Equal(back, data) || responseSize(&resp) != len(data) {
+			t.Fatalf("accepted response re-encodes to %q (size %d)", back, responseSize(&resp))
+		}
+	})
 }
 
 // TestReadFrameBoundedAllocation pins the anti-over-allocation
@@ -61,8 +95,7 @@ func TestReadFrameBoundedAllocation(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	const rounds = 16
 	for i := 0; i < rounds; i++ {
-		var req wireRequest
-		err := wire.ReadFrame(bytes.NewReader(hostile), &req)
+		_, err := wire.ReadRawFrame(bytes.NewReader(hostile))
 		if err != io.ErrUnexpectedEOF {
 			t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 		}

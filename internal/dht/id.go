@@ -9,8 +9,8 @@
 // The ring uses 64-bit identifiers (SHA-1 truncated), successor lists for
 // fault tolerance, finger tables for O(log N) lookups, and periodic
 // stabilisation. Two transports are provided: a deterministic in-memory
-// network for simulation and tests, and a length-prefixed-JSON TCP
-// transport (stdlib only) for real deployments.
+// network for simulation and tests, and a TCP transport of fixed binary
+// frames (stdlib only) for real deployments.
 package dht
 
 import (

@@ -1,8 +1,10 @@
 package dht
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -410,12 +412,19 @@ func (n *Node) Publish(recs []StoredRecord) error {
 	// below all stitches under it.
 	sp := obs.StartRoot(spanPublish)
 	sc := sp.Context()
-	byKey := make(map[ID][]StoredRecord)
-	for _, r := range recs {
-		byKey[r.Key] = append(byKey[r.Key], r)
-	}
+	// Group the records by key and send the groups in ascending key
+	// order, so a publish sends the same RPCs in the same order on every
+	// run; a group keeps its records' input order.
+	sorted := slices.Clone(recs)
+	slices.SortStableFunc(sorted, func(a, b StoredRecord) int { return cmp.Compare(a.Key, b.Key) })
 	var firstErr error
-	for key, group := range byKey {
+	for lo := 0; lo < len(sorted); {
+		key, hi := sorted[lo].Key, lo+1
+		for hi < len(sorted) && sorted[hi].Key == key {
+			hi++
+		}
+		group := sorted[lo:hi:hi]
+		lo = hi
 		root, err := n.Lookup(sc, key)
 		if err != nil {
 			if firstErr == nil {

@@ -1,7 +1,11 @@
 package dht
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,6 +141,58 @@ func TestPublishRetrieve(t *testing.T) {
 		if len(got) != 2 {
 			t.Fatalf("retrieved %d records from %s", len(got), n.Self().Addr)
 		}
+	}
+}
+
+// storeLog records, in arrival order, the keys of the replicating
+// stores its node receives: the stores a publish sends to each key's root.
+type storeLog struct {
+	handler
+	mu   *sync.Mutex
+	keys *[]ID
+}
+
+func (s storeLog) HandleStore(sc obs.SpanContext, recs []StoredRecord, replicate bool) {
+	if replicate {
+		s.mu.Lock()
+		for _, r := range recs {
+			*s.keys = append(*s.keys, r.Key)
+		}
+		s.mu.Unlock()
+	}
+	s.handler.HandleStore(sc, recs, replicate)
+}
+
+// TestPublishSendsKeysInAscendingOrder: a 16-key batch given in
+// descending key order leaves as store RPCs in ascending key order, the
+// same on two fresh rings.
+func TestPublishSendsKeysInAscendingOrder(t *testing.T) {
+	var logs [2][]ID
+	for i := range logs {
+		r := buildRing(t, 8)
+		via := r.Nodes[0]
+		pred, ok := via.PredecessorRef()
+		if !ok {
+			t.Fatal("ring did not converge")
+		}
+		var mu sync.Mutex
+		for _, n := range r.Nodes {
+			r.Net.Register(n.Self().Addr, storeLog{handler: n, mu: &mu, keys: &logs[i]})
+		}
+		var recs []StoredRecord
+		for k := 0; len(recs) < 16; k++ {
+			// Keys homed off via, so each group leaves as a store RPC.
+			if key := HashKey(fmt.Sprintf("publish-order-%d", k)); !Between(key, pred.ID, via.Self().ID) {
+				recs = append(recs, rec(key, "o", 0.5, 1))
+			}
+		}
+		slices.SortFunc(recs, func(a, b StoredRecord) int { return cmp.Compare(b.Key, a.Key) })
+		if err := via.Publish(recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(logs[0]) != 16 || !slices.IsSorted(logs[0]) || !slices.Equal(logs[0], logs[1]) {
+		t.Fatalf("store RPCs by key:\n%v\n%v\nwant 16 keys in ascending order on both rings", logs[0], logs[1])
 	}
 }
 

@@ -12,32 +12,21 @@ import (
 	"mdrep/internal/wire"
 )
 
-// The TCP transport frames each message with internal/wire (length-
-// prefixed JSON) and runs each RPC as one request/response exchange over
-// a persistent connection: the client pools idle connections per node
-// address and the server serves requests on a connection until the
-// client closes it. A lookup walks several nodes and a random walk
-// retrieves many rows, so most RPCs reuse a connection instead of paying
-// a TCP handshake each. Sampled requests carry a wire.TraceContext
-// header in the Trace field, so the server side continues the caller's
+// The TCP transport runs each RPC as one request/response exchange of
+// internal/wire frames over a persistent connection: the client pools
+// idle connections per node address and the server serves requests on a
+// connection until the client closes it. A lookup walks several nodes
+// and a random walk retrieves many rows, so most RPCs reuse a connection
+// instead of paying a TCP handshake each.
+//
+//	→ "DHQ1", the method and its fields, the optional TRC1 trace header
+//	← "DHR1", the method and its answer | "DHR1", 0 and the node's error
+//
+// The bodies have one fixed binary layout (codec.go): a method byte and
+// only that method's fields, each record as its key, file, owner,
+// evaluation bits, timestamp and signature. Sampled requests carry a
+// wire.TraceContext header, so the server side continues the caller's
 // trace.
-
-type wireRequest struct {
-	Method    string         `json:"method"`
-	ID        ID             `json:"id,omitempty"`
-	Node      NodeRef        `json:"node,omitempty"`
-	Records   []StoredRecord `json:"records,omitempty"`
-	Replicate bool           `json:"replicate,omitempty"`
-	Trace     []byte         `json:"trace,omitempty"`
-}
-
-type wireResponse struct {
-	Error   string         `json:"error,omitempty"`
-	Node    NodeRef        `json:"nodeRef,omitempty"`
-	HasNode bool           `json:"hasNode,omitempty"`
-	Nodes   []NodeRef      `json:"nodes,omitempty"`
-	Records []StoredRecord `json:"records,omitempty"`
-}
 
 // TCPClient implements Client over TCP, keeping idle connections to
 // each node for later calls.
@@ -61,35 +50,46 @@ func (c *TCPClient) Close() error { return c.pool.Close() }
 
 // call runs one framed exchange inside an RPC span: a child of sc when
 // the caller is traced, a fresh root otherwise, with the span context
-// propagated in the request's Trace header.
-func (c *TCPClient) call(sc obs.SpanContext, spanName, addr string, req wireRequest) (resp *wireResponse, err error) {
+// propagated in the request's trace header. A transport failure, and an
+// answer that does not decode or answers another method, is a retryable
+// ErrNodeUnreachable; the serving node's error is terminal.
+func (c *TCPClient) call(sc obs.SpanContext, spanName, addr string, req wireRequest) (resp wireResponse, err error) {
 	sp := obs.StartSpan(sc, spanName)
 	sp.AttrStr(attrAddr, addr)
 	defer func() { sp.EndErr(err) }()
 	req.Trace = sp.Context().MarshalWire()
-
-	var r wireResponse
+	frame, err := requestFrame(&req)
+	if err != nil {
+		return wireResponse{}, err
+	}
 	err = c.pool.Do(addr, c.DialTimeout, c.CallTimeout, func(rw io.ReadWriter) error {
-		if err := wire.WriteFrame(rw, req); err != nil {
+		if err := wire.WriteRawFrame(rw, frame); err != nil {
 			return fmt.Errorf("send to %s: %w", addr, err)
 		}
-		if err := wire.ReadFrame(rw, &r); err != nil {
+		body, err := wire.ReadRawFrame(rw)
+		if err == nil {
+			resp, err = decodeResponse(body)
+		}
+		if err == nil && resp.Method != req.Method && resp.Method != methodError {
+			err = fmt.Errorf("%w: %s answer to a %s request", wire.ErrMalformed, resp.Method, req.Method)
+		}
+		if err != nil {
 			return fmt.Errorf("recv from %s: %w", addr, err)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNodeUnreachable, err)
+		return wireResponse{}, fmt.Errorf("%w: %v", ErrNodeUnreachable, err)
 	}
-	if r.Error != "" {
-		return nil, fault.Terminal(errors.New(r.Error))
+	if resp.Method == methodError {
+		return wireResponse{}, fault.Terminal(errors.New(resp.Error))
 	}
-	return &r, nil
+	return resp, nil
 }
 
 // FindSuccessor implements Client.
 func (c *TCPClient) FindSuccessor(sc obs.SpanContext, addr string, id ID) (NodeRef, error) {
-	resp, err := c.call(sc, spanRPCFindSuccessor, addr, wireRequest{Method: "find_successor", ID: id})
+	resp, err := c.call(sc, spanRPCFindSuccessor, addr, wireRequest{Method: methodFindSuccessor, ID: id})
 	if err != nil {
 		return NodeRef{}, err
 	}
@@ -98,7 +98,7 @@ func (c *TCPClient) FindSuccessor(sc obs.SpanContext, addr string, id ID) (NodeR
 
 // Successors implements Client.
 func (c *TCPClient) Successors(sc obs.SpanContext, addr string) ([]NodeRef, error) {
-	resp, err := c.call(sc, spanRPCSuccessors, addr, wireRequest{Method: "successors"})
+	resp, err := c.call(sc, spanRPCSuccessors, addr, wireRequest{Method: methodSuccessors})
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func (c *TCPClient) Successors(sc obs.SpanContext, addr string) ([]NodeRef, erro
 
 // Predecessor implements Client.
 func (c *TCPClient) Predecessor(sc obs.SpanContext, addr string) (NodeRef, bool, error) {
-	resp, err := c.call(sc, spanRPCPredecessor, addr, wireRequest{Method: "predecessor"})
+	resp, err := c.call(sc, spanRPCPredecessor, addr, wireRequest{Method: methodPredecessor})
 	if err != nil {
 		return NodeRef{}, false, err
 	}
@@ -116,25 +116,25 @@ func (c *TCPClient) Predecessor(sc obs.SpanContext, addr string) (NodeRef, bool,
 
 // Notify implements Client.
 func (c *TCPClient) Notify(sc obs.SpanContext, addr string, self NodeRef) error {
-	_, err := c.call(sc, spanRPCNotify, addr, wireRequest{Method: "notify", Node: self})
+	_, err := c.call(sc, spanRPCNotify, addr, wireRequest{Method: methodNotify, Node: self})
 	return err
 }
 
 // Ping implements Client.
 func (c *TCPClient) Ping(sc obs.SpanContext, addr string) error {
-	_, err := c.call(sc, spanRPCPing, addr, wireRequest{Method: "ping"})
+	_, err := c.call(sc, spanRPCPing, addr, wireRequest{Method: methodPing})
 	return err
 }
 
 // Store implements Client.
 func (c *TCPClient) Store(sc obs.SpanContext, addr string, recs []StoredRecord, replicate bool) error {
-	_, err := c.call(sc, spanRPCStore, addr, wireRequest{Method: "store", Records: recs, Replicate: replicate})
+	_, err := c.call(sc, spanRPCStore, addr, wireRequest{Method: methodStore, Records: recs, Replicate: replicate})
 	return err
 }
 
 // Retrieve implements Client.
 func (c *TCPClient) Retrieve(sc obs.SpanContext, addr string, key ID) ([]StoredRecord, error) {
-	resp, err := c.call(sc, spanRPCRetrieve, addr, wireRequest{Method: "retrieve", ID: key})
+	resp, err := c.call(sc, spanRPCRetrieve, addr, wireRequest{Method: methodRetrieve, ID: key})
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ type TCPServer struct {
 }
 
 // setHandler attaches (or replaces) the handler; requests arriving while
-// no handler is set are dropped.
+// no handler is set get an error reply.
 func (s *TCPServer) setHandler(h handler) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,55 +184,56 @@ func (s *TCPServer) Addr() string { return s.srv.Addr() }
 // requests being served to finish.
 func (s *TCPServer) Close() error { return s.srv.Close() }
 
-// serve answers one request read from rw.
+// serve answers one request read from rw. A body that is not a request
+// closes the connection; an unknown method gets an error reply.
 func (s *TCPServer) serve(rw io.ReadWriter) error {
-	var req wireRequest
-	if err := wire.ReadFrame(rw, &req); err != nil {
+	body, err := wire.ReadRawFrame(rw)
+	if err != nil {
+		return err
+	}
+	req, err := decodeRequest(body)
+	if err != nil {
 		return err
 	}
 	// A corrupt or absent trace header yields the zero context, and the
 	// serve span roots a trace of its own — tracing never fails a
 	// request.
 	sp := obs.StartSpan(obs.SpanContextFromWire(req.Trace), spanServe)
-	sp.AttrStr(attrMethod, req.Method)
-	h := s.getHandler()
-	if h == nil {
-		sp.EndErr(errors.New("dht: node not attached yet")) //mdrep:allow faultwrap: feeds the serve span's status only, never returned to a retry loop
-		return wire.WriteFrame(rw, wireResponse{Error: "dht: node not attached yet"})
+	sp.AttrStr(attrMethod, req.Method.String())
+	resp := wireResponse{Method: methodError, Error: "dht: node not attached yet"}
+	if h := s.getHandler(); h != nil {
+		resp = s.dispatch(h, req, sp.Context())
 	}
-	resp := s.dispatch(h, req, sp.Context())
-	if resp.Error != "" {
+	if resp.Method == methodError {
 		sp.EndErr(errors.New(resp.Error)) //mdrep:allow faultwrap: feeds the serve span's status only; the client re-tags the wire error
 	} else {
 		sp.End()
 	}
-	return wire.WriteFrame(rw, resp)
+	return wire.WriteRawFrame(rw, responseFrame(&resp))
 }
 
 func (s *TCPServer) dispatch(h handler, req wireRequest, sc obs.SpanContext) wireResponse {
+	resp := wireResponse{Method: req.Method}
 	switch req.Method {
-	case "find_successor":
+	case methodFindSuccessor:
 		ref, err := h.HandleFindSuccessor(sc, req.ID)
 		if err != nil {
-			return wireResponse{Error: err.Error()}
+			return wireResponse{Method: methodError, Error: err.Error()}
 		}
-		return wireResponse{Node: ref}
-	case "successors":
-		return wireResponse{Nodes: h.HandleSuccessors()}
-	case "predecessor":
-		ref, ok := h.HandlePredecessor()
-		return wireResponse{Node: ref, HasNode: ok}
-	case "notify":
+		resp.Node = ref
+	case methodSuccessors:
+		resp.Nodes = h.HandleSuccessors()
+	case methodPredecessor:
+		resp.Node, resp.HasNode = h.HandlePredecessor()
+	case methodNotify:
 		h.HandleNotify(req.Node)
-		return wireResponse{}
-	case "ping":
-		return wireResponse{}
-	case "store":
+	case methodPing:
+	case methodStore:
 		h.HandleStore(sc, req.Records, req.Replicate)
-		return wireResponse{}
-	case "retrieve":
-		return wireResponse{Records: h.HandleRetrieve(req.ID)}
+	case methodRetrieve:
+		resp.Records = h.HandleRetrieve(req.ID)
 	default:
-		return wireResponse{Error: fmt.Sprintf("dht: unknown method %q", req.Method)}
+		return wireResponse{Method: methodError, Error: fmt.Sprintf("dht: unknown method %d", req.Method)}
 	}
+	return resp
 }

@@ -1,10 +1,12 @@
 package dht
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
+	"io"
+	"net"
+	"os"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -124,7 +126,7 @@ func TestTCPSignedRecordVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := HashKey(string(info.FileID))
-	// Store via real TCP round trip (signature survives JSON framing).
+	// Store via real TCP round trip (the signature survives the frame).
 	if err := client.Store(obs.SpanContext{}, node.Self().Addr, []StoredRecord{{Key: key, Info: info}}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +172,127 @@ func TestTCPServerRejectsUnknownMethod(t *testing.T) {
 	srv.setHandler(node)
 	t.Cleanup(func() { _ = srv.Close() })
 	c := NewTCPClient()
-	if _, err := c.call(obs.SpanContext{}, spanServe, srv.Addr(), wireRequest{Method: "bogus"}); err == nil {
-		t.Fatal("unknown method accepted")
+	_, err = c.call(obs.SpanContext{}, spanServe, srv.Addr(), wireRequest{Method: 0x7f})
+	if err == nil || fault.Retryable(err) || !strings.Contains(err.Error(), "unknown method") {
+		t.Fatalf("unknown method: err = %v, want a terminal error reply", err)
+	}
+}
+
+// TestTCPServerRefusesJSONRequest sends the JSON request of the
+// protocol's earlier version: the server closes that connection or
+// answers with an error, never leaves it hanging, and goes on serving
+// its other connections.
+func TestTCPServerRefusesJSONRequest(t *testing.T) {
+	srv, err := ServeTCP("127.0.0.1:0", nullHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = conn.Close() })
+		if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	open, old := dial(), dial()
+	if err := wire.WriteRawFrame(old, append(make([]byte, wire.FrameHeader), `{"method":"ping"}`...)); err != nil {
+		t.Fatal(err)
+	}
+	body, err := wire.ReadRawFrame(old)
+	switch {
+	case err == nil:
+		if resp, err := decodeResponse(body); err != nil || resp.Method != methodError {
+			t.Fatalf("reply to a JSON request: %+v, %v", resp, err)
+		}
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		t.Fatal("JSON request left hanging")
+	}
+	ping, err := requestFrame(&wireRequest{Method: methodPing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteRawFrame(open, ping); err != nil {
+		t.Fatal(err)
+	}
+	if body, err := wire.ReadRawFrame(open); err != nil || string(body) != "DHR1\x05" {
+		t.Fatalf("other connection: %q, %v", body, err)
+	}
+	c := NewTCPClient()
+	defer func() { _ = c.Close() }()
+	if err := c.Ping(obs.SpanContext{}, srv.Addr()); err != nil {
+		t.Fatalf("ping after a JSON request: %v", err)
+	}
+}
+
+// TestTCPClientFaultClasses: against a hostile server, an answer that
+// does not decode or answers another method is a retryable
+// ErrNodeUnreachable, and the server's error reply is terminal.
+func TestTCPClientFaultClasses(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		reply     string
+		retryable bool
+	}{
+		{"garbage", "not a frame body", true},
+		{"truncated answer", "DHR1\x07\x01", true},
+		{"answer to another method", "DHR1\x05", true},
+		{"error reply", "DHR1\x00no such key", false},
+	} {
+		srv, err := wire.Serve("127.0.0.1:0", func(rw io.ReadWriter) error {
+			if _, err := wire.ReadRawFrame(rw); err != nil {
+				return err
+			}
+			return wire.WriteRawFrame(rw, append(make([]byte, wire.FrameHeader), tc.reply...))
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewTCPClient()
+		_, err = c.Retrieve(obs.SpanContext{}, srv.Addr(), 7)
+		_ = c.Close()
+		_ = srv.Close()
+		if err == nil || fault.Retryable(err) != tc.retryable || errors.Is(err, ErrNodeUnreachable) != tc.retryable {
+			t.Errorf("%s: err = %v, want retryable %v", tc.name, err, tc.retryable)
+		}
+		if !tc.retryable && err.Error() != "no such key" {
+			t.Errorf("%s: error text %q", tc.name, err)
+		}
+	}
+}
+
+// TestTCPTraceHeaderStitchesServeSpan: a sampled RPC carries its TRC1
+// header, so the server's dht.serve span lands on the caller's trace.
+func TestTCPTraceHeaderStitchesServeSpan(t *testing.T) {
+	fr := withFlightTracing(t, 6)
+	srv, err := ServeTCP("127.0.0.1:0", nullHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	c := NewTCPClient()
+	defer func() { _ = c.Close() }()
+	root := obs.StartRoot("walk.row_fetch")
+	if _, err := c.Retrieve(root.Context(), srv.Addr(), 7); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if err := srv.Close(); err != nil { // waits for the serve span to end
+		t.Fatal(err)
+	}
+	var names []string
+	for _, r := range fr.Snapshot() {
+		if r.Trace == root.Context().Trace {
+			names = append(names, r.Name)
+		}
+	}
+	if !slices.Contains(names, spanServe) || !slices.Contains(names, spanRPCRetrieve) {
+		t.Fatalf("caller's trace holds %q, want %s under %s", names, spanServe, spanRPCRetrieve)
 	}
 }
 
@@ -235,34 +356,5 @@ func TestTCPClientStalledHandlerTimesOutRetryably(t *testing.T) {
 	}
 	if n := h.retrieves.Load(); n != 1 {
 		t.Fatalf("server saw the timed-out retrieve %d times, want 1", n)
-	}
-}
-
-// TestWireFrameBytesMatchMarshal pins the DHT's request and response
-// frames to a 4-byte big-endian length followed by json.Marshal, with
-// strings JSON escapes.
-func TestWireFrameBytesMatchMarshal(t *testing.T) {
-	recs := []StoredRecord{
-		{Key: 42, Info: eval.Info{FileID: "<b>&\u2028", OwnerID: "owner&<>", Evaluation: 0.25, Timestamp: 7, Signature: []byte{0, 1, 0xfe}}},
-		rec(^ID(0), "plain", 1, 0),
-	}
-	for _, v := range []any{
-		wireRequest{Method: "store", ID: 9, Node: NodeRef{ID: 3, Addr: "127.0.0.1:1&<"}, Records: recs, Replicate: true, Trace: []byte("tc")},
-		wireRequest{Method: "retrieve", ID: 1 << 63},
-		wireResponse{Error: "dht: <nope> & \u2028"},
-		wireResponse{Node: NodeRef{ID: 1, Addr: "a"}, HasNode: true, Nodes: []NodeRef{{ID: 2, Addr: "b"}}, Records: recs},
-	} {
-		body, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
-		var buf bytes.Buffer
-		if err := wire.WriteFrame(&buf, v); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("frame of %+v:\n got %q\nwant %q", v, buf.Bytes(), want)
-		}
 	}
 }

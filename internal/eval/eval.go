@@ -268,17 +268,19 @@ func (s *Store) Compact(now time.Duration) int {
 	return removed
 }
 
-// Files returns the IDs of all live evaluations at time now, sorted for
-// determinism.
-func (s *Store) Files(now time.Duration) []FileID {
-	out := make([]FileID, 0, len(s.records))
+// AppendFiles appends the IDs of all live evaluations at time now to dst
+// in ascending order, for determinism, and returns the extended slice. A
+// caller that reuses dst across calls allocates nothing once it has
+// grown to the largest store.
+func (s *Store) AppendFiles(dst []FileID, now time.Duration) []FileID {
+	start := len(dst)
 	for f, r := range s.records {
 		if !s.expired(r, now) {
-			out = append(out, f)
+			dst = append(dst, f)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Snapshot returns all live (file, value) pairs at time now; the map is a

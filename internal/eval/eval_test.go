@@ -148,8 +148,8 @@ func TestStoreWindowExpiry(t *testing.T) {
 	if _, ok := s.Get("new", 2*time.Hour); !ok {
 		t.Fatal("live evaluation not readable")
 	}
-	if files := s.Files(2 * time.Hour); len(files) != 1 || files[0] != "new" {
-		t.Fatalf("Files = %v", files)
+	if files := s.AppendFiles(nil, 2*time.Hour); len(files) != 1 || files[0] != "new" {
+		t.Fatalf("AppendFiles = %v", files)
 	}
 	if removed := s.Compact(2 * time.Hour); removed != 1 {
 		t.Fatalf("Compact removed %d, want 1", removed)
@@ -244,6 +244,27 @@ func TestStoreExpiredMatchesScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStoreAppendFilesReusesBuffer: AppendFiles keeps dst's contents,
+// appends the live files in ascending order, and allocates nothing when
+// dst has room.
+func TestStoreAppendFilesReusesBuffer(t *testing.T) {
+	s, err := NewStore(DefaultBlend(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []FileID{"c", "a", "b"} {
+		s.SetImplicit(f, 0.5, 0)
+	}
+	buf := append(make([]FileID, 0, 8), "z")
+	got := s.AppendFiles(buf, 0)
+	if !slices.Equal(got, []FileID{"z", "a", "b", "c"}) || &got[0] != &buf[0] {
+		t.Fatalf("AppendFiles = %v (same array: %v)", got, &got[0] == &buf[0])
+	}
+	if n := testing.AllocsPerRun(10, func() { buf = s.AppendFiles(buf[:0], 0) }); n != 0 {
+		t.Fatalf("AppendFiles into a buffer with room: %v allocs", n)
 	}
 }
 

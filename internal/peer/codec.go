@@ -3,7 +3,6 @@ package peer
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -61,10 +60,6 @@ const (
 // signature, each behind a one-byte length, and the evaluation.
 const minRecordSize = 1 + 8 + 1
 
-// errFrame reports a malformed exchange frame body; every decode failure
-// wraps it.
-var errFrame = errors.New("peer: malformed exchange frame")
-
 // exchangeRequest is a decoded request.
 type exchangeRequest struct {
 	Method byte
@@ -96,10 +91,10 @@ func appendRequest(b []byte, req exchangeRequest) ([]byte, error) {
 func decodeRequest(body []byte) (exchangeRequest, error) {
 	const size = len(requestMagic) + 1
 	if n := len(body); n != size && n != size+wire.EncodedTraceContextSize {
-		return exchangeRequest{}, fmt.Errorf("%w: request of %d bytes", errFrame, n)
+		return exchangeRequest{}, fmt.Errorf("%w: request of %d bytes", wire.ErrMalformed, n)
 	}
 	if [4]byte(body) != requestMagic {
-		return exchangeRequest{}, fmt.Errorf("%w: bad request magic %q", errFrame, body[:4])
+		return exchangeRequest{}, fmt.Errorf("%w: bad request magic %q", wire.ErrMalformed, body[:4])
 	}
 	req := exchangeRequest{Method: body[4]}
 	if len(body) > size {
@@ -120,15 +115,15 @@ func appendResponse(b []byte, resp *exchangeResponse) []byte {
 	for lo := 0; lo < len(infos); {
 		hi := runEnd(infos, lo)
 		first := &infos[lo]
-		b = appendField(b, first.OwnerID)
+		b = wire.AppendField(b, first.OwnerID)
 		b = binary.BigEndian.AppendUint64(b, uint64(first.Timestamp))
-		b = appendField(b, first.ListSignature)
+		b = wire.AppendField(b, first.ListSignature)
 		b = binary.AppendUvarint(b, uint64(hi-lo))
 		for k := lo; k < hi; k++ {
 			in := &infos[k]
-			b = appendField(b, in.FileID)
+			b = wire.AppendField(b, in.FileID)
 			b = binary.BigEndian.AppendUint64(b, math.Float64bits(in.Evaluation))
-			b = appendField(b, in.Signature)
+			b = wire.AppendField(b, in.Signature)
 		}
 		lo = hi
 	}
@@ -151,28 +146,17 @@ func sameRun(a, b *eval.Info) bool {
 
 // listSize returns the size of a list body after its magic and kind.
 func listSize(infos []eval.Info) int {
-	n := uvarintSize(len(infos))
+	n := wire.UvarintSize(len(infos))
 	for lo := 0; lo < len(infos); {
 		hi := runEnd(infos, lo)
 		first := &infos[lo]
-		n += fieldSize(len(first.OwnerID)) + 8 + fieldSize(len(first.ListSignature)) + uvarintSize(hi-lo)
+		n += wire.FieldSize(len(first.OwnerID)) + 8 + wire.FieldSize(len(first.ListSignature)) + wire.UvarintSize(hi-lo)
 		for k := lo; k < hi; k++ {
-			n += fieldSize(len(infos[k].FileID)) + 8 + fieldSize(len(infos[k].Signature))
+			n += wire.FieldSize(len(infos[k].FileID)) + 8 + wire.FieldSize(len(infos[k].Signature))
 		}
 		lo = hi
 	}
 	return n
-}
-
-func appendField[T ~string | ~[]byte](b []byte, v T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
-}
-
-func fieldSize(n int) int { return uvarintSize(n) + n }
-
-func uvarintSize(n int) int {
-	var b [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(b[:], uint64(n))
 }
 
 // decodeResponse parses a response body. The records' signatures and
@@ -181,10 +165,10 @@ func uvarintSize(n int) int {
 // signature, as Peer.SignedEvaluations' records do.
 func decodeResponse(body []byte) (exchangeResponse, error) {
 	if len(body) < len(responseMagic)+1 {
-		return exchangeResponse{}, fmt.Errorf("%w: response of %d bytes", errFrame, len(body))
+		return exchangeResponse{}, fmt.Errorf("%w: response of %d bytes", wire.ErrMalformed, len(body))
 	}
 	if [4]byte(body) != responseMagic {
-		return exchangeResponse{}, fmt.Errorf("%w: bad response magic %q", errFrame, body[:4])
+		return exchangeResponse{}, fmt.Errorf("%w: bad response magic %q", wire.ErrMalformed, body[:4])
 	}
 	switch kind, rest := body[4], body[5:]; kind {
 	case kindError:
@@ -196,121 +180,39 @@ func decodeResponse(body []byte) (exchangeResponse, error) {
 		}
 		return exchangeResponse{Evaluations: infos}, nil
 	default:
-		return exchangeResponse{}, fmt.Errorf("%w: unknown response kind %d", errFrame, kind)
+		return exchangeResponse{}, fmt.Errorf("%w: unknown response kind %d", wire.ErrMalformed, kind)
 	}
 }
 
 // decodeList parses a list body after its magic and kind.
 func decodeList(buf []byte) ([]eval.Info, error) {
-	r := frameReader{buf: buf}
-	total := r.count(minRecordSize)
+	r := wire.NewFrameReader(buf)
+	total := r.Count(minRecordSize)
 	infos := make([]eval.Info, 0, total)
-	for r.err == nil && len(infos) < total {
+	for r.Err() == nil && len(infos) < total {
 		run := eval.Info{
-			OwnerID:       identity.PeerID(r.field()),
-			Timestamp:     time.Duration(r.fixed64()),
-			ListSignature: r.bytes(),
+			OwnerID:       identity.PeerID(r.Field()),
+			Timestamp:     time.Duration(r.Fixed64()),
+			ListSignature: r.Bytes(),
 		}
-		n := r.count(minRecordSize)
+		n := r.Count(minRecordSize)
 		switch {
-		case r.err != nil: // the header is cut short; the loop ends
+		case r.Err() != nil: // the header is cut short; the loop ends
 		case n == 0 || n > total-len(infos):
-			r.fail("run of %d records with %d of %d left", n, total-len(infos), total)
+			r.Fail("run of %d records with %d of %d left", n, total-len(infos), total)
 		case len(infos) > 0 && sameRun(&infos[len(infos)-1], &run):
-			r.fail("run %q repeats the one before it", run.OwnerID)
+			r.Fail("run %q repeats the one before it", run.OwnerID)
 		}
-		for k := 0; k < n && r.err == nil; k++ {
+		for k := 0; k < n && r.Err() == nil; k++ {
 			in := run
-			in.FileID = eval.FileID(r.field())
-			in.Evaluation = math.Float64frombits(r.fixed64())
-			in.Signature = r.bytes()
+			in.FileID = eval.FileID(r.Field())
+			in.Evaluation = math.Float64frombits(r.Fixed64())
+			in.Signature = r.Bytes()
 			infos = append(infos, in)
 		}
 	}
-	if r.err == nil && len(r.buf) > 0 {
-		r.fail("%d trailing bytes", len(r.buf))
-	}
-	if r.err != nil {
-		return nil, r.err
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return infos, nil
-}
-
-// frameReader reads the fields of a frame body from the front of buf.
-// The first failure sticks: every later read returns a zero value.
-type frameReader struct {
-	buf []byte
-	err error
-}
-
-func (r *frameReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s", errFrame, fmt.Sprintf(format, args...))
-	}
-}
-
-// uvarint reads a minimally encoded uvarint.
-func (r *frameReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, k := binary.Uvarint(r.buf)
-	switch {
-	case k == 0:
-		r.fail("truncated uvarint")
-		return 0
-	case k < 0:
-		r.fail("uvarint overflows 64 bits")
-		return 0
-	case k > 1 && r.buf[k-1] == 0:
-		r.fail("non-minimal uvarint")
-		return 0
-	}
-	r.buf = r.buf[k:]
-	return v
-}
-
-// count reads a count of items that take at least minSize bytes each,
-// refusing one the bytes left cannot hold.
-func (r *frameReader) count(minSize int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.buf)/minSize) {
-		r.fail("count %d in %d bytes", n, len(r.buf))
-		return 0
-	}
-	return int(n)
-}
-
-// field reads a length-prefixed byte string, aliasing buf.
-func (r *frameReader) field() []byte {
-	n := r.uvarint()
-	if n > uint64(len(r.buf)) {
-		r.fail("field of %d bytes with %d left", n, len(r.buf))
-		return nil
-	}
-	v := r.buf[:n:n]
-	r.buf = r.buf[n:]
-	return v
-}
-
-// bytes reads a field as bytes, nil when empty.
-func (r *frameReader) bytes() []byte {
-	if v := r.field(); len(v) > 0 {
-		return v
-	}
-	return nil
-}
-
-// fixed64 reads an 8-byte big-endian word.
-func (r *frameReader) fixed64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.buf) < 8 {
-		r.fail("truncated 8-byte field")
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.buf)
-	r.buf = r.buf[8:]
-	return v
 }

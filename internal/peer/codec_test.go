@@ -157,8 +157,8 @@ func TestExchangeDecodeRefuses(t *testing.T) {
 		} else {
 			_, err = decodeResponse([]byte(tc.body))
 		}
-		if !errors.Is(err, errFrame) {
-			t.Errorf("%s: err = %v, want errFrame", tc.name, err)
+		if !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: err = %v, want wire.ErrMalformed", tc.name, err)
 		}
 	}
 }
@@ -171,7 +171,7 @@ func TestExchangeDecodeCountAllocatesNothing(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 10; i++ {
-		if _, err := decodeResponse(body); !errors.Is(err, errFrame) {
+		if _, err := decodeResponse(body); !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("count 2^20 in %d bytes: err = %v", len(body), err)
 		}
 	}

@@ -136,7 +136,7 @@ func TestTCPExchangeRefusesJSONRequest(t *testing.T) {
 	t.Cleanup(func() { _ = srv.Close() })
 	open := exchangeConn(t, srv)
 	old := exchangeConn(t, srv)
-	if err := wire.WriteFrame(old, map[string]string{"method": "evaluations"}); err != nil {
+	if err := wire.WriteRawFrame(old, append(make([]byte, wire.FrameHeader), `{"method":"evaluations"}`...)); err != nil {
 		t.Fatal(err)
 	}
 	body, err := wire.ReadRawFrame(old)

@@ -75,19 +75,25 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame feeds hostile bytes to the JSON frame decoder used by the
-// TCP protocols: it must error or succeed, never panic.
+// FuzzReadFrame feeds hostile bytes to the frame reader used by the TCP
+// protocols: it must error or succeed, never panic, and a body it
+// accepts must frame again to the bytes it was read from.
 func FuzzReadFrame(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, map[string]string{"method": "evaluations"}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add([]byte("\x00\x00\x00\x05EXQ1\x01"))
 	f.Add([]byte{0, 0, 0, 2, '{', '}'})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var v map[string]any
-		_ = ReadFrame(bytes.NewReader(data), &v)
+		body, err := ReadRawFrame(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteRawFrame(&buf, append(make([]byte, FrameHeader), body...)); err != nil {
+			t.Fatalf("re-frame accepted body: %v", err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("accepted frame re-frames to %q", buf.Bytes())
+		}
 	})
 }
 

@@ -11,10 +11,10 @@ import (
 // TM-row records are the payload the decentralized reputation walk
 // (internal/walk) publishes to the DHT: one user's normalized trust-matrix
 // row, self-describing and checksummed so a replica-fetched copy is
-// provably the row that was published. Unlike the JSON bodies of the DHT's
-// frames this is a fixed binary layout — rows are re-decoded on every
-// cache miss of every walk, and the encoding must be canonical so two
-// publications of the same snapshot are byte-identical:
+// provably the row that was published. It is a fixed binary layout —
+// rows are re-decoded on every cache miss of every walk, and the encoding
+// must be canonical so two publications of the same snapshot are
+// byte-identical:
 //
 //	[4]  magic "TMR1"
 //	[4]  user  (uint32, the row index)

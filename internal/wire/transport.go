@@ -26,7 +26,7 @@ const (
 
 // stream is what an exchange reads and writes: buffered reads, so a
 // frame's header and body cost one read call, and direct writes, since
-// WriteFrame already writes each frame in one call.
+// WriteRawFrame already writes each frame in one call.
 type stream struct {
 	r *bufio.Reader
 	w io.Writer

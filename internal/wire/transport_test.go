@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -13,17 +14,30 @@ import (
 	"time"
 )
 
-type echoMsg struct {
-	Seq int `json:"seq"`
+// seqFrame returns a frame whose body is seq, 8 bytes big-endian.
+func seqFrame(seq int) []byte {
+	return binary.BigEndian.AppendUint64(make([]byte, FrameHeader, FrameHeader+8), uint64(seq))
+}
+
+// readSeq reads a frame written by seqFrame and returns its seq.
+func readSeq(r io.Reader) (int, error) {
+	body, err := ReadRawFrame(r)
+	if err != nil {
+		return 0, err
+	}
+	if len(body) != 8 {
+		return 0, fmt.Errorf("seq body of %d bytes", len(body))
+	}
+	return int(int64(binary.BigEndian.Uint64(body))), nil
 }
 
 // echo answers each request with itself.
 func echo(rw io.ReadWriter) error {
-	var m echoMsg
-	if err := ReadFrame(rw, &m); err != nil {
+	seq, err := readSeq(rw)
+	if err != nil {
 		return err
 	}
-	return WriteFrame(rw, m)
+	return WriteRawFrame(rw, seqFrame(seq))
 }
 
 // countingListener counts the connections a server accepts.
@@ -56,14 +70,14 @@ func serveCounted(t *testing.T, addr string, handle func(io.ReadWriter) error) (
 // call sends seq through p to addr and checks the echo.
 func call(p *Pool, addr string, seq int, callTimeout time.Duration) error {
 	return p.Do(addr, time.Second, callTimeout, func(rw io.ReadWriter) error {
-		if err := WriteFrame(rw, echoMsg{Seq: seq}); err != nil {
+		if err := WriteRawFrame(rw, seqFrame(seq)); err != nil {
 			return err
 		}
-		var got echoMsg
-		if err := ReadFrame(rw, &got); err != nil {
+		got, err := readSeq(rw)
+		if err != nil {
 			return err
 		}
-		if got.Seq != seq {
+		if got != seq {
 			return errors.New("echo mismatch")
 		}
 		return nil
@@ -126,15 +140,15 @@ func TestPoolTimeoutIsNotResent(t *testing.T) {
 	release := make(chan struct{})
 	var stalled atomic.Int64
 	handle := func(rw io.ReadWriter) error {
-		var m echoMsg
-		if err := ReadFrame(rw, &m); err != nil {
+		seq, err := readSeq(rw)
+		if err != nil {
 			return err
 		}
-		if m.Seq < 0 {
+		if seq < 0 {
 			stalled.Add(1)
 			<-release
 		}
-		return WriteFrame(rw, m)
+		return WriteRawFrame(rw, seqFrame(seq))
 	}
 	srv, _ := serveCounted(t, "127.0.0.1:0", handle)
 	var p Pool

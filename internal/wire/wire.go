@@ -1,17 +1,19 @@
 // Package wire provides the length-prefixed framing shared by the
 // project's TCP protocols: a 4-byte big-endian body length followed by
 // the body, with a hard frame-size cap against memory exhaustion.
-// WriteRawFrame and ReadRawFrame carry any body; the evaluation exchange
-// (internal/peer) sends fixed binary bodies through them. WriteFrame and
-// ReadFrame build on the pair with a JSON body, which the DHT transport
-// uses. The package also carries the connection handling both protocols
-// share: a client Pool and a Server that run request/response exchanges
-// over persistent connections.
+// WriteRawFrame and ReadRawFrame carry the bodies, which each protocol
+// gives one fixed binary layout: the DHT's RPCs (internal/dht) and the
+// evaluation exchange (internal/peer). Both decode their bodies with a
+// FrameReader, which checks every count and length against the bytes
+// left before anything is allocated for it, and encode fields with
+// AppendField. The package also carries the connection handling both
+// protocols share: a client Pool and a Server that run request/response
+// exchanges over persistent connections.
 package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -58,35 +60,158 @@ func ReadRawFrame(r io.Reader) ([]byte, error) {
 	return readBounded(r, int(n))
 }
 
-// WriteFrame marshals v as JSON and writes it as one frame. The body is
-// json.Marshal's bytes, encoded straight behind the reserved header: one
-// frame-sized allocation, not a body and then a copy.
-func WriteFrame(w io.Writer, v any) error {
-	var f frameBuffer
-	if err := json.NewEncoder(&f).Encode(v); err != nil {
-		return fmt.Errorf("wire: marshal frame: %w", err)
-	}
-	return WriteRawFrame(w, f[:len(f)-1]) // Encode ends the body with a newline Marshal omits
+// ErrMalformed reports a frame body that does not decode; every
+// FrameReader failure wraps it.
+var ErrMalformed = errors.New("wire: malformed frame body")
+
+// AppendField appends v behind its length as a uvarint, the layout
+// FrameReader.Field reads.
+func AppendField[T ~string | ~[]byte](b []byte, v T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(v))), v...)
 }
 
-// frameBuffer collects one encoded frame behind a FrameHeader. A
-// json.Encoder writes each value in one call, so the buffer is allocated
-// once, at its final size.
-type frameBuffer []byte
+// FieldSize returns the encoded size of a field of n bytes.
+func FieldSize(n int) int { return UvarintSize(n) + n }
 
-func (f *frameBuffer) Write(p []byte) (int, error) {
-	if *f == nil {
-		*f = make([]byte, FrameHeader, FrameHeader+len(p))
-	}
-	*f = append(*f, p...)
-	return len(p), nil
+// UvarintSize returns the encoded size of n as a uvarint.
+func UvarintSize(n int) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], uint64(n))
 }
 
-// ReadFrame reads one frame and unmarshals its JSON body into v.
-func ReadFrame(r io.Reader, v any) error {
-	body, err := ReadRawFrame(r)
-	if err != nil {
-		return err
+// FrameReader reads the fields of a frame body from its front. The first
+// failure sticks: every later read returns a zero value, and Err reports
+// the failure. The reader accepts only canonical encodings, so a body a
+// codec accepts re-encodes to the same bytes.
+type FrameReader struct {
+	buf []byte
+	err error
+}
+
+// NewFrameReader returns a reader over body.
+func NewFrameReader(body []byte) FrameReader { return FrameReader{buf: body} }
+
+// Err returns the first failure, wrapping ErrMalformed, or nil.
+func (r *FrameReader) Err() error { return r.err }
+
+// Len returns the number of bytes left.
+func (r *FrameReader) Len() int { return len(r.buf) }
+
+// Fail records a failure unless one is already recorded.
+func (r *FrameReader) Fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
 	}
-	return json.Unmarshal(body, v)
+}
+
+// Finish refuses trailing bytes and returns Err.
+func (r *FrameReader) Finish() error {
+	if r.err == nil && len(r.buf) > 0 {
+		r.Fail("%d trailing bytes", len(r.buf))
+	}
+	return r.err
+}
+
+// Byte reads one byte.
+func (r *FrameReader) Byte() byte {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf) == 0 {
+		r.Fail("truncated byte")
+		return 0
+	}
+	v := r.buf[0]
+	r.buf = r.buf[1:]
+	return v
+}
+
+// Bool reads a byte that must be 0 or 1.
+func (r *FrameReader) Bool() bool {
+	switch v := r.Byte(); v {
+	case 0, 1:
+		return v == 1
+	default:
+		r.Fail("flag byte %d", v)
+		return false
+	}
+}
+
+// Uvarint reads a minimally encoded uvarint.
+func (r *FrameReader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, k := binary.Uvarint(r.buf)
+	switch {
+	case k == 0:
+		r.Fail("truncated uvarint")
+		return 0
+	case k < 0:
+		r.Fail("uvarint overflows 64 bits")
+		return 0
+	case k > 1 && r.buf[k-1] == 0:
+		r.Fail("non-minimal uvarint")
+		return 0
+	}
+	r.buf = r.buf[k:]
+	return v
+}
+
+// Count reads a count of items that take at least minSize bytes each,
+// refusing one the bytes left cannot hold.
+func (r *FrameReader) Count(minSize int) int {
+	n := r.Uvarint()
+	if n > uint64(len(r.buf)/minSize) {
+		r.Fail("count %d in %d bytes", n, len(r.buf))
+		return 0
+	}
+	return int(n)
+}
+
+// Field reads a length-prefixed byte string, aliasing the body.
+func (r *FrameReader) Field() []byte {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(len(r.buf)) {
+		r.Fail("field of %d bytes with %d left", n, len(r.buf))
+		return nil
+	}
+	v := r.buf[:n:n]
+	r.buf = r.buf[n:]
+	return v
+}
+
+// Bytes reads a field as bytes, nil when empty, aliasing the body.
+func (r *FrameReader) Bytes() []byte {
+	if v := r.Field(); len(v) > 0 {
+		return v
+	}
+	return nil
+}
+
+// Fixed64 reads an 8-byte big-endian word.
+func (r *FrameReader) Fixed64() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if len(r.buf) < 8 {
+		r.Fail("truncated 8-byte field")
+		return 0
+	}
+	v := binary.BigEndian.Uint64(r.buf)
+	r.buf = r.buf[8:]
+	return v
+}
+
+// Rest reads every byte left, aliasing the body.
+func (r *FrameReader) Rest() []byte {
+	if r.err != nil {
+		return nil
+	}
+	v := r.buf[:len(r.buf):len(r.buf)]
+	r.buf = r.buf[len(r.buf):]
+	return v
 }
