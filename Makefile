@@ -144,12 +144,13 @@ sim:
 # shard runs the sharded-engine suite under the race detector twice
 # over. core.Sharded is the only concurrency facade and K=1 every
 # caller's default, so it covers the K=1 proofs as well as K>1:
-# shard-count invariance (K ∈ {1,2,8} bit-identical to the bare
-# engine), the hammer at K=1 and K=8, the engine metric series at K=1
-# and K=4, the cross-K parity tests at the mdrep and massim layers, the
-# peer daemon's metrics over a one-shard journal, and the whole journal
-# package: the one-shard crash suite (torn and garbage tails, snapshot
-# fallback, WAL truncation at every byte offset) and per-shard recovery.
+# shard-count invariance (K ∈ {1,2,8} bit-identical to a K=1 engine
+# fed event by event), the hammer at K=1 and K=8, the engine metric
+# series at K=1 and K=4, the cross-K parity tests at the mdrep and
+# massim layers, the peer daemon's metrics over a one-shard journal,
+# and the whole journal package: the one-shard crash suite (torn and
+# garbage tails, snapshot fallback, WAL truncation at every byte
+# offset) and per-shard recovery.
 # The incremental rebuild suite (row store and TM patch against the map
 # reference builders at K = 1 and 3, and the kept evaluator-list
 # contract), the store's expiry bound and shard-count invariance run at

@@ -164,13 +164,7 @@ func BenchmarkE6DHT(b *testing.B) {
 
 // --- Kernels ---------------------------------------------------------------
 
-// buildLoadedEngine returns an engine with a realistic evidence load.
-func buildLoadedEngine(b *testing.B, peers, downloads int) *core.Engine {
-	b.Helper()
-	return loadEngine(b, peers, loadedTrace(b, peers, downloads))
-}
-
-// loadedTrace generates the synthetic download trace buildLoadedEngine
+// loadedTrace generates the synthetic download trace loadSharded
 // replays: peers users, 4 files per user, downloads transfers.
 func loadedTrace(b *testing.B, peers, downloads int) *trace.Trace {
 	b.Helper()
@@ -185,38 +179,15 @@ func loadedTrace(b *testing.B, peers, downloads int) *trace.Trace {
 	return tr
 }
 
-// loadEngine replays tr into a fresh engine: each transfer is a download
-// plus a 0.9 retention evaluation by both ends.
-func loadEngine(b *testing.B, peers int, tr *trace.Trace) *core.Engine {
-	b.Helper()
-	engine, err := core.NewEngine(peers, core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	replayTrace(b, engine, tr)
-	return engine
-}
-
-// loadSharded is loadEngine for a one-shard core.Sharded, the engine
-// every caller runs.
+// loadSharded replays tr into a fresh one-shard engine, the engine
+// every caller runs: each transfer is a download plus a 0.9 retention
+// evaluation by both ends.
 func loadSharded(b *testing.B, peers int, tr *trace.Trace) *core.Sharded {
 	b.Helper()
 	engine, err := core.NewSharded(peers, 1, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	replayTrace(b, engine, tr)
-	return engine
-}
-
-// evidenceSink is the ingest surface replayTrace feeds.
-type evidenceSink interface {
-	RecordDownload(downloader, uploader int, f eval.FileID, size int64, now time.Duration) error
-	SetImplicit(p int, f eval.FileID, value float64, now time.Duration) error
-}
-
-func replayTrace(b *testing.B, engine evidenceSink, tr *trace.Trace) {
-	b.Helper()
 	for _, rec := range tr.Records {
 		f := eval.FileID(trace.FileHash(rec.File))
 		if err := engine.RecordDownload(rec.Downloader, rec.Uploader, f, rec.Size, rec.Time); err != nil {
@@ -229,27 +200,50 @@ func replayTrace(b *testing.B, engine evidenceSink, tr *trace.Trace) {
 			b.Fatal(err)
 		}
 	}
+	return engine
+}
+
+// benchFirstBuild times a one-shard engine's first build of TM at now.
+// Each op restores st into a fresh engine off the clock, so every row
+// is computed from scratch, none taken from a cache or patched.
+func benchFirstBuild(b *testing.B, st *core.ShardState, now time.Duration) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		engine, err := core.NewSharded(st.N, 1, core.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := engine.RestoreShard(0, st); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := engine.TM(now); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkTrustMatrixBuild measures building TM (FM + DM + UM) from a
-// loaded engine — the per-epoch cost of the system — in three regimes:
-//   - cold: Engine.BuildTM, every row computed from scratch;
-//   - incremental: a one-shard Sharded after one changed vote, which
-//     recomputes the rows the vote dirtied and patches TM in them;
-//   - cached: nothing changed since the Sharded's last build, so TM
-//     returns the cached matrix.
+// loaded engine — the per-epoch cost of the system — in three regimes,
+// all on a one-shard engine:
+//   - cold: the first build after a restore, every row computed from
+//     scratch;
+//   - incremental: a build after one changed vote, which recomputes the
+//     rows the vote dirtied and patches TM in them;
+//   - cached: nothing changed since the last build, so TM returns the
+//     cached matrix.
 func BenchmarkTrustMatrixBuild(b *testing.B) {
 	const peers, downloads = 300, 20000
 	now := 30 * 24 * time.Hour
 	b.Run("cold", func(b *testing.B) {
-		engine := buildLoadedEngine(b, peers, downloads)
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.BuildTM(now); err != nil {
-				b.Fatal(err)
-			}
+		st, err := loadSharded(b, peers, loadedTrace(b, peers, downloads)).ExportShardState(0)
+		if err != nil {
+			b.Fatal(err)
 		}
+		benchFirstBuild(b, st, now)
 	})
 	b.Run("incremental", func(b *testing.B) {
 		tr := loadedTrace(b, peers, downloads)
@@ -291,9 +285,9 @@ func BenchmarkTrustMatrixBuild(b *testing.B) {
 // BenchmarkReputationQuery measures one peer's multi-trust row against a
 // prebuilt TM — the per-request cost of the system.
 func BenchmarkReputationQuery(b *testing.B) {
-	engine := buildLoadedEngine(b, 300, 20000)
+	engine := loadSharded(b, 300, loadedTrace(b, 300, 20000))
 	now := 30 * 24 * time.Hour
-	tm, err := engine.BuildTM(now)
+	tm, err := engine.TM(now)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,9 +302,9 @@ func BenchmarkReputationQuery(b *testing.B) {
 
 // BenchmarkFileJudgement measures Eq. (9) over a 50-evaluator opinion set.
 func BenchmarkFileJudgement(b *testing.B) {
-	engine := buildLoadedEngine(b, 300, 20000)
+	engine := loadSharded(b, 300, loadedTrace(b, 300, 20000))
 	now := 30 * 24 * time.Hour
-	tm, err := engine.BuildTM(now)
+	tm, err := engine.TM(now)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -373,15 +367,11 @@ func BenchmarkRMPowParallel(b *testing.B) {
 }
 
 // BenchmarkBuildTMIncremental compares the per-event cost of refreshing
-// TM: the incremental path is a one-shard Sharded re-deriving only the
-// rows dirtied by one new evaluation, the full path Engine.BuildTM
-// recomputing every row from the same evidence.
+// TM on a one-shard engine: the incremental path re-derives only the
+// rows dirtied by one new evaluation, the full path is the first build
+// after a restore of the same evidence, recomputing every row.
 func BenchmarkBuildTMIncremental(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
-		engine, err := core.NewEngine(n, core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
 		sharded, err := core.NewSharded(n, 1, core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
@@ -389,9 +379,6 @@ func BenchmarkBuildTMIncremental(b *testing.B) {
 		var now time.Duration
 		events := journalWorkload(n, n*20)
 		for _, ev := range events {
-			if err := engine.ApplyEvent(ev); err != nil {
-				b.Fatal(err)
-			}
 			if ev.Time > now {
 				now = ev.Time
 			}
@@ -399,16 +386,15 @@ func BenchmarkBuildTMIncremental(b *testing.B) {
 		if err := sharded.ApplyBatch(events); err != nil {
 			b.Fatal(err)
 		}
+		st, err := sharded.ExportShardState(0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := sharded.TM(now); err != nil {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("full/n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.BuildTM(now); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchFirstBuild(b, st, now)
 		})
 		b.Run(fmt.Sprintf("incremental/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -841,12 +827,13 @@ func BenchmarkJournalAppend(b *testing.B) {
 	}
 }
 
-// journalState adapts a core engine to journal.State so BenchmarkRecovery
-// can reopen a prepared data dir without mutating it (Log.Close takes no
-// snapshot, unlike the typed engine wrapper's Close).
+// journalState adapts a one-shard engine to journal.State so
+// BenchmarkRecovery can reopen a prepared data dir without mutating it
+// (Log.Close takes no snapshot, unlike journal.ShardedEngine's Close).
+// It replays, snapshots and restores the engine's shard 0 as the
+// sharded journal does, so recovery reads the same snapshot format.
 type journalState struct {
-	eng *core.Engine
-	n   int
+	eng *core.Sharded
 }
 
 func (s *journalState) Apply(payload []byte) error {
@@ -854,24 +841,23 @@ func (s *journalState) Apply(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.eng.ApplyEvent(ev)
+	return s.eng.ApplyShard(0, ev)
 }
 
 func (s *journalState) Snapshot() ([]byte, error) {
-	return json.Marshal(s.eng.ExportState())
+	st, err := s.eng.ExportShardState(0)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(st)
 }
 
 func (s *journalState) Restore(snapshot []byte) error {
-	var st core.EngineState
+	var st core.ShardState
 	if err := json.Unmarshal(snapshot, &st); err != nil {
 		return err
 	}
-	eng, err := core.NewEngineFromState(&st, core.DefaultConfig())
-	if err != nil {
-		return err
-	}
-	s.eng = eng
-	return nil
+	return s.eng.RestoreShard(0, &st)
 }
 
 // buildJournalDir writes a 100k-event journal into dir, snapshotting at
@@ -879,12 +865,12 @@ func (s *journalState) Restore(snapshot []byte) error {
 // replayed).
 func buildJournalDir(b *testing.B, dir string, events []core.Event, snapshotEvery uint64) {
 	b.Helper()
-	eng, err := core.NewEngine(100, core.DefaultConfig())
+	eng, err := core.NewSharded(100, 1, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := journal.Config{SyncEvery: 1024, SnapshotEvery: snapshotEvery, KeepSnapshots: 2}
-	state := &journalState{eng: eng, n: 100}
+	state := &journalState{eng: eng}
 	log, _, err := journal.Open(dir, cfg, state)
 	if err != nil {
 		b.Fatal(err)
@@ -927,11 +913,11 @@ func BenchmarkRecovery(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eng, err := core.NewEngine(100, core.DefaultConfig())
+				eng, err := core.NewSharded(100, 1, core.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
-				log, info, err := journal.Open(dir, cfg, &journalState{eng: eng, n: 100})
+				log, info, err := journal.Open(dir, cfg, &journalState{eng: eng})
 				if err != nil {
 					b.Fatal(err)
 				}

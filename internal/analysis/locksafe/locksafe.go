@@ -12,14 +12,6 @@
 // (transitively) acquire mu, and flags same-receiver calls to them made
 // while the caller still holds the lock.
 //
-// Facade bypass (packages outside core): core.Engine is not safe for
-// concurrent use — it is the unlocked evidence store inside
-// core.Sharded — so everything outside the core must route through
-// core.Sharded. The
-// analyzer flags direct *core.Engine method calls unless the engine
-// arrived as a function parameter or through the receiver (the caller
-// owns the locking contract).
-//
 // Shard lock ordering (all packages): the sharded engine's deadlock
 // freedom rests on one rule — when a function holds more than one shard
 // data lock (any acquisition of shards[i].mu, directly or through a
@@ -40,34 +32,21 @@ import (
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
 	"golang.org/x/tools/go/ast/inspector"
-	"golang.org/x/tools/go/types/typeutil"
 
 	"mdrep/internal/analysis/lintutil"
 )
-
-// enginePackages are allowed to touch core.Engine directly: only the
-// defining package, where core.Sharded keeps its evidence in an Engine
-// under its own shard locks. Every other package, the journal included,
-// drives core.Sharded.
-var enginePackages = []string{"core"}
-
-// engineImmutable are Engine methods that only read construction-time
-// state and are safe without the facade.
-var engineImmutable = map[string]bool{"N": true, "Config": true}
 
 // name is the analyzer name, also the token accepted by //mdrep:allow.
 const name = "locksafe"
 
 var Analyzer = &analysis.Analyzer{
 	Name: name,
-	Doc: "flag re-entrant mutex acquisition, core.Engine facade bypass, and shard lock-order violations\n\n" +
+	Doc: "flag re-entrant mutex acquisition and shard lock-order violations\n\n" +
 		"A method holding its receiver's mu (Lock-then-defer-Unlock idiom) must\n" +
 		"not call another method of the same receiver that acquires mu: Go\n" +
-		"mutexes are not re-entrant. Outside core, *core.Engine must be\n" +
-		"driven through core.Sharded — the bare engine is not safe for\n" +
-		"concurrent use. Functions that take multiple shards[i].mu locks must\n" +
-		"take them in ascending shard index, or two shard workers deadlock\n" +
-		"against each other.",
+		"mutexes are not re-entrant. Functions that take multiple shards[i].mu\n" +
+		"locks must take them in ascending shard index, or two shard workers\n" +
+		"deadlock against each other.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -76,9 +55,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	checkReentrancy(pass, ins)
 	checkShardOrder(pass, ins)
-	if !lintutil.IsPackage(pass.Pkg.Path(), enginePackages...) {
-		checkFacadeBypass(pass, ins)
-	}
 	return nil, nil
 }
 
@@ -320,81 +296,6 @@ func transitiveAcquirers(methods map[string]*methodFacts) map[string]bool {
 func releasedBefore(f *methodFacts, pos token.Pos) bool {
 	for _, rel := range f.released {
 		if f.heldFrom < rel && rel < pos {
-			return true
-		}
-	}
-	return false
-}
-
-// --- facade bypass ----------------------------------------------------------
-
-func checkFacadeBypass(pass *analysis.Pass, ins *inspector.Inspector) {
-	ins.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return true
-		}
-		call := n.(*ast.CallExpr)
-		fn, ok := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
-		if !ok || !isEngineMethod(fn) || engineImmutable[fn.Name()] {
-			return true
-		}
-		if receiverIsParameter(pass, call, stack) {
-			return true
-		}
-		lintutil.Report(pass, call.Pos(), name,
-			"direct (*core.Engine).%s outside the core: the bare engine is not safe for concurrent use — route through core.Sharded",
-			fn.Name())
-		return true
-	})
-}
-
-func isEngineMethod(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Name() != "Engine" {
-		return false
-	}
-	pkg := named.Obj().Pkg()
-	return pkg != nil && pkg.Name() == "core"
-}
-
-// receiverIsParameter reports whether the engine receiver of call is (or
-// is reached through) a parameter or the receiver of the enclosing
-// function: the caller supplies an engine it already guards.
-func receiverIsParameter(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	root := lintutil.RootIdent(sel.X)
-	if root == nil {
-		return false
-	}
-	obj := pass.TypesInfo.ObjectOf(root)
-	if obj == nil {
-		return false
-	}
-	for i := len(stack) - 1; i >= 0; i-- {
-		var ft *ast.FuncType
-		switch fn := stack[i].(type) {
-		case *ast.FuncLit:
-			ft = fn.Type
-		case *ast.FuncDecl:
-			ft = fn.Type
-			if fn.Recv != nil && fn.Recv.Pos() <= obj.Pos() && obj.Pos() <= fn.Recv.End() {
-				return true
-			}
-		default:
-			continue
-		}
-		if ft.Params != nil && ft.Params.Pos() <= obj.Pos() && obj.Pos() <= ft.Params.End() {
 			return true
 		}
 	}

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockSafe(t *testing.T) {
-	analyzertest.Run(t, "testdata", locksafe.Analyzer, "lockbox", "driver", "journal", "shardhost")
+	analyzertest.Run(t, "testdata", locksafe.Analyzer, "lockbox", "shardhost")
 }

@@ -10,25 +10,18 @@ import (
 	"mdrep/internal/sparse"
 )
 
-// Engine is the reputation system state for a population of peers indexed
-// [0, n). It ingests the observable behaviour of §3.1 — file evaluations,
-// download volumes and user ratings — and produces trust matrices and
-// reputations.
-//
-// Engine is the evidence store and the row math of the trust core.
-// BuildTM computes every row of FM, DM and UM through the row functions
-// (fmRow, dmRow, umRow) and integrates them with the Eq. (7) kernel.
-// Sharded keeps its evidence in an Engine and rebuilds only the rows
-// events dirtied, through the same functions and the same kernel. The
+// engine is the evidence store and the row math of the trust core, for
+// a population of peers indexed [0, n). It holds the observable
+// behaviour of §3.1 — file evaluations, download volumes and user
+// ratings — which Sharded ingests through applyTo, and computes the rows
+// of FM, DM and UM through the row functions (fmRow, dmRow, umRow),
+// which integrate combines into TM with the Eq. (7) kernel. The
 // evaluator index keeps each file's live-evaluator list across
-// Sharded's rebuilds, but BuildTM drops every list before it starts,
-// so the bare Engine is the from-scratch reference that the
-// shard-count invariance tests and the journal recovery ground truths
-// compare against.
+// Sharded's rebuilds.
 //
-// The Engine is not safe for concurrent use. Share reputation state
-// through Sharded.
-type Engine struct {
+// The engine is not safe for concurrent use: Sharded guards each peer's
+// evidence with its owner shard's lock.
+type engine struct {
 	cfg    Config
 	n      int
 	stores []*eval.Store
@@ -43,8 +36,8 @@ type Engine struct {
 	// evaluators is the inverted index file → peers with an
 	// evaluation, with each file's kept live-evaluator list; it keeps
 	// FM construction proportional to actual co-evaluation instead of
-	// O(n²). The index is stripe-locked so the sharded facade's
-	// per-shard writers can share it.
+	// O(n²). The index is stripe-locked so Sharded's per-shard writers
+	// can share it.
 	evaluators *evalIndex
 }
 
@@ -74,15 +67,15 @@ func DownloadVolume(ledger []Download, store *eval.Store, now time.Duration, flo
 	return vd
 }
 
-// NewEngine builds an engine for n peers.
-func NewEngine(n int, cfg Config) (*Engine, error) {
+// newEngine builds an empty engine for n peers.
+func newEngine(n int, cfg Config) (*engine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: population %d, want >= 1", n)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
+	e := &engine{
 		cfg:        cfg,
 		n:          n,
 		stores:     make([]*eval.Store, n),
@@ -101,21 +94,11 @@ func NewEngine(n int, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// N returns the population size.
-func (e *Engine) N() int { return e.n }
-
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-func (e *Engine) checkPeer(p int) error {
+func (e *engine) checkPeer(p int) error {
 	if p < 0 || p >= e.n {
 		return fmt.Errorf("core: peer %d outside [0, %d)", p, e.n)
 	}
 	return nil
-}
-
-func (e *Engine) indexEvaluator(f eval.FileID, p int) {
-	e.evaluators.add(f, p)
 }
 
 // --- dirty-row rules --------------------------------------------------------
@@ -128,9 +111,8 @@ const (
 )
 
 // markFunc receives the invalidation effects of an evidence mutation:
-// dimension dim's row must be recomputed before the next build.
-// core.Sharded routes marks to the owning shard's dirty tracker; the
-// bare Engine, which caches nothing, drops them. A markFunc may be
+// dimension dim's row must be recomputed before the next build. Sharded
+// routes marks to the owning shard's dirty tracker. A markFunc may be
 // called under an index stripe lock and must not acquire shard data
 // locks.
 type markFunc func(dim int, row int)
@@ -140,7 +122,7 @@ type markFunc func(dim int, row int)
 // stale, and the FM rows of every co-evaluator of f shift (FT is
 // pairwise over shared files, and the deterministic evaluator sample of
 // a capped file can change membership).
-func (e *Engine) dirtyEvaluationTo(p int, f eval.FileID, mark markFunc) {
+func (e *engine) dirtyEvaluationTo(p int, f eval.FileID, mark markFunc) {
 	mark(dimDM, p)
 	mark(dimFM, p)
 	e.evaluators.dropList(f, func(j int) { mark(dimFM, j) })
@@ -153,7 +135,7 @@ func (e *Engine) dirtyEvaluationTo(p int, f eval.FileID, mark markFunc) {
 // list the reference full rebuild pairs up, so per-row recomputation
 // reproduces its float arithmetic bit for bit. The index keeps the list
 // across builds and derives it here only when it is stale.
-func (e *Engine) liveEvaluators(f eval.FileID, now time.Duration) fileEvaluators {
+func (e *engine) liveEvaluators(f eval.FileID, now time.Duration) fileEvaluators {
 	return e.evaluators.list(f, func(peers map[int]struct{}, dst *fileEvaluators) {
 		live := dst.peers[:0]
 		for p := range peers {
@@ -186,7 +168,7 @@ func (e *Engine) liveEvaluators(f eval.FileID, now time.Duration) fileEvaluators
 // running Σ|E_ik − E_jk| and the co-evaluated count, with a
 // generation-stamped touched set, so clearing between rows costs
 // O(co-evaluators), not O(n). It is n wide: each Sharded rebuild
-// worker keeps one across rebuilds, and a bare build allocates one.
+// worker keeps one across rebuilds.
 type pairScratch struct {
 	sum     []float64
 	count   []int32
@@ -217,7 +199,7 @@ func (sc *pairScratch) next() {
 // ascending FileID order, so each pair's sum accumulates in the order the
 // reference full rebuild uses, and the normalisation runs over ascending
 // columns: the row is bit-identical to buildFMRef's.
-func (e *Engine) fmRow(i int, now time.Duration, sc *pairScratch) sparse.Row {
+func (e *engine) fmRow(i int, now time.Duration, sc *pairScratch) sparse.Row {
 	sc.next()
 	sc.files = e.stores[i].AppendFiles(sc.files[:0], now)
 	for _, f := range sc.files {
@@ -254,7 +236,7 @@ func (e *Engine) fmRow(i int, now time.Duration, sc *pairScratch) sparse.Row {
 // dmRow computes row i of DM (Eqs. 4–5) as a frozen, normalised row:
 // VD_ij of DownloadVolume, kept where positive, then divided by the row
 // sum.
-func (e *Engine) dmRow(i int, now time.Duration) sparse.Row {
+func (e *engine) dmRow(i int, now time.Duration) sparse.Row {
 	per := e.downloads[i]
 	cols := sortedKeys(per)
 	vals := make([]float64, 0, len(cols))
@@ -269,7 +251,7 @@ func (e *Engine) dmRow(i int, now time.Duration) sparse.Row {
 }
 
 // umRow computes row i of UM (Eq. 6) as a frozen, normalised row.
-func (e *Engine) umRow(i int) sparse.Row {
+func (e *engine) umRow(i int) sparse.Row {
 	per := e.userTrust[i]
 	cols := sortedKeys(per)
 	vals := make([]float64, 0, len(cols))
@@ -296,7 +278,7 @@ func sortedKeys[V any](m map[int]V) []int32 {
 // rowFunc returns dimension d's row function at now. FM rows pair up
 // in sc, which is not safe for concurrent use: each rebuild worker
 // passes its own.
-func (e *Engine) rowFunc(d int, now time.Duration, sc *pairScratch) func(i int) sparse.Row {
+func (e *engine) rowFunc(d int, now time.Duration, sc *pairScratch) func(i int) sparse.Row {
 	switch d {
 	case dimFM:
 		return func(i int) sparse.Row { return e.fmRow(i, now, sc) }
@@ -309,7 +291,7 @@ func (e *Engine) rowFunc(d int, now time.Duration, sc *pairScratch) func(i int) 
 
 // integrate is Eq. (7), TM = α·FM + β·DM + γ·UM, recomputed in the rows
 // listed in dirty (ascending) and copied from prev in every other row.
-func (e *Engine) integrate(prev *sparse.CSR, dirty []int, dims [3][]sparse.Row) (*sparse.CSR, error) {
+func (e *engine) integrate(prev *sparse.CSR, dirty []int, dims [3][]sparse.Row) (*sparse.CSR, error) {
 	return sparse.WeightedSum(prev, e.n, dirty, []sparse.Weighted{
 		{Scale: e.cfg.Alpha, Rows: dims[dimFM]},
 		{Scale: e.cfg.Beta, Rows: dims[dimDM]},
@@ -331,133 +313,6 @@ func (c Config) TrustRow(ft, vd, ut sparse.Row) sparse.Row {
 	})
 }
 
-// allRows lists [0, n): the dirty set of a full build.
-func allRows(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// --- public build API -------------------------------------------------------
-
-// SetImplicit records peer p's implicit (retention-derived) evaluation of
-// file f.
-func (e *Engine) SetImplicit(p int, f eval.FileID, value float64, now time.Duration) error {
-	return e.ApplyEvent(Event{Kind: EventSetImplicit, I: p, File: f, Value: value, Time: now})
-}
-
-// ObserveRetention records an implicit evaluation computed from the
-// configured retention model.
-func (e *Engine) ObserveRetention(p int, f eval.FileID, retention time.Duration, deleted bool, now time.Duration) error {
-	return e.SetImplicit(p, f, e.cfg.Retention.Implicit(retention, deleted), now)
-}
-
-// Vote records peer p's explicit evaluation of file f.
-func (e *Engine) Vote(p int, f eval.FileID, value float64, now time.Duration) error {
-	return e.ApplyEvent(Event{Kind: EventVote, I: p, File: f, Value: value, Time: now})
-}
-
-// Evaluation returns peer p's blended evaluation of f, if live.
-func (e *Engine) Evaluation(p int, f eval.FileID, now time.Duration) (float64, bool) {
-	if e.checkPeer(p) != nil {
-		return 0, false
-	}
-	return e.stores[p].Get(f, now)
-}
-
-// RecordDownload registers that downloader fetched file f (size bytes)
-// from uploader; it feeds VD of Eq. (4). The evaluation weight E_ik is
-// resolved lazily when DM is built, so a later vote or retention update
-// retroactively re-weights the volume — sharing a file the downloader
-// ends up judging fake earns no download-volume trust.
-func (e *Engine) RecordDownload(downloader, uploader int, f eval.FileID, size int64, now time.Duration) error {
-	return e.ApplyEvent(Event{Kind: EventDownload, I: downloader, J: uploader, File: f, Size: size, Time: now})
-}
-
-// RateUser records UT_ij = value (Eq. 6). Blacklisted targets stay at
-// zero.
-func (e *Engine) RateUser(i, j int, value float64) error {
-	return e.ApplyEvent(Event{Kind: EventRateUser, I: i, J: j, Value: value})
-}
-
-// AddFriend assigns the configured friend-list trust to j (§3.1.3).
-func (e *Engine) AddFriend(i, j int) error {
-	return e.RateUser(i, j, e.cfg.FriendTrust)
-}
-
-// Blacklist sets UT_ij to zero permanently for i's view of j (§3.1.3:
-// "the users in the blacklist … should be assigned with zero").
-func (e *Engine) Blacklist(i, j int) error {
-	return e.ApplyEvent(Event{Kind: EventBlacklist, I: i, J: j})
-}
-
-// BuildTM builds the one-step direct trust matrix of Eq. (7) from
-// scratch at now: every row of FM, DM and UM, integrated by the kernel
-// Sharded patches its TM with. Rows of TM are sub-stochastic when a peer
-// lacks one of the dimensions; that is intentional — missing evidence
-// must not be re-weighted into false confidence.
-func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
-	return e.integrate(nil, allRows(e.n), e.buildDims(now))
-}
-
-// buildDims computes every row of FM, DM and UM at now. It drops every
-// kept evaluator list first, so a bare build reuses nothing from an
-// earlier build at another time.
-func (e *Engine) buildDims(now time.Duration) [3][]sparse.Row {
-	e.evaluators.dropLists()
-	sc := newPairScratch(e.n)
-	var dims [3][]sparse.Row
-	for d := range dims {
-		rowFn := e.rowFunc(d, now, sc)
-		dims[d] = make([]sparse.Row, e.n)
-		for i := range dims[d] {
-			dims[d][i] = rowFn(i)
-		}
-	}
-	return dims
-}
-
-// BuildRM computes the full reputation matrix RM = TM^n (Eq. 8).
-func (e *Engine) BuildRM(now time.Duration) (*sparse.CSR, error) {
-	tm, err := e.BuildTM(now)
-	if err != nil {
-		return nil, err
-	}
-	return tm.Pow(e.cfg.Steps)
-}
-
-// Reputations returns row i of RM — peer i's multi-trust reputation view
-// of every other peer — without materialising the full power.
-func (e *Engine) Reputations(i int, now time.Duration) (map[int]float64, error) {
-	if err := e.checkPeer(i); err != nil {
-		return nil, err
-	}
-	tm, err := e.BuildTM(now)
-	if err != nil {
-		return nil, err
-	}
-	return tm.RowVecPow(i, e.cfg.Steps)
-}
-
-// ReputationsFromTM is Reputations against a prebuilt TM, letting callers
-// amortise matrix construction across many queries.
-func (e *Engine) ReputationsFromTM(tm *sparse.CSR, i int) (map[int]float64, error) {
-	if err := e.checkPeer(i); err != nil {
-		return nil, err
-	}
-	return tm.RowVecPow(i, e.cfg.Steps)
-}
-
-// Compact drops expired evaluations from every store and prunes the
-// inverted index; call periodically in long simulations. Compaction is an
-// event because it changes state: a journaled engine must replay it at
-// the same point in the sequence to reproduce the same matrices.
-func (e *Engine) Compact(now time.Duration) {
-	_ = e.ApplyEvent(Event{Kind: EventCompact, Time: now})
-}
-
 // compactEvidence drops expired evaluations of the peers selected by owns
 // (nil = all) and prunes their index entries. Removal changes liveness
 // for builds at any time (including earlier ones the build-time expiry
@@ -466,7 +321,7 @@ func (e *Engine) Compact(now time.Duration) {
 // compaction decomposable per shard: a global EventCompact is exactly the
 // union of per-shard compactions, in any order, because each peer's
 // records and index entries are touched by exactly one owner.
-func (e *Engine) compactEvidence(now time.Duration, owns func(p int) bool, mark markFunc) {
+func (e *engine) compactEvidence(now time.Duration, owns func(p int) bool, mark markFunc) {
 	for p, s := range e.stores {
 		if owns != nil && !owns(p) {
 			continue

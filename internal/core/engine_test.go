@@ -9,25 +9,27 @@ import (
 	"mdrep/internal/sparse"
 )
 
-func mustEngine(t *testing.T, n int, cfg Config) *Engine {
+// dimCSR builds TM at now and freezes dimension d's row store, every
+// row of the dimension at now, into a CSR.
+func dimCSR(t *testing.T, s *Sharded, d int, now time.Duration) *sparse.CSR {
 	t.Helper()
-	e, err := NewEngine(n, cfg)
-	if err != nil {
+	if _, err := s.TM(now); err != nil {
 		t.Fatal(err)
 	}
-	return e
-}
-
-// dimCSR builds every row of dimension d at now through a bare build
-// and freezes the rows into a CSR.
-func dimCSR(t *testing.T, e *Engine, d int, now time.Duration) *sparse.CSR {
-	t.Helper()
-	rows := e.buildDims(now)[d]
-	c, err := sparse.WeightedSum(nil, e.n, allRows(e.n), []sparse.Weighted{{Scale: 1, Rows: rows}})
+	c, err := sparse.WeightedSum(nil, s.N(), allRows(s.N()), []sparse.Weighted{{Scale: 1, Rows: s.dims[d]}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// allRows lists [0, n): the dirty set of a full build.
+func allRows(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -53,18 +55,18 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewEngineRejectsBadArgs(t *testing.T) {
-	if _, err := NewEngine(0, DefaultConfig()); err == nil {
+	if _, err := NewSharded(0, 1, DefaultConfig()); err == nil {
 		t.Fatal("empty population accepted")
 	}
 	bad := DefaultConfig()
 	bad.Steps = 0
-	if _, err := NewEngine(3, bad); err == nil {
+	if _, err := NewSharded(3, 1, bad); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
 
 func TestEngineBoundsChecks(t *testing.T) {
-	e := mustEngine(t, 3, DefaultConfig())
+	e := mustSharded(t, 3, 1, DefaultConfig())
 	if err := e.SetImplicit(5, "f", 0.5, 0); err == nil {
 		t.Fatal("out-of-range peer accepted by SetImplicit")
 	}
@@ -88,8 +90,8 @@ func TestEngineBoundsChecks(t *testing.T) {
 	}
 }
 
-// fmPairConfig gives a pure file-based TM so FM values are directly
-// observable through BuildTM.
+// fmOnlyConfig gives a pure file-based TM so FM values are directly
+// observable through TM.
 func fmOnlyConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta, cfg.Gamma = 1, 0, 0
@@ -98,7 +100,7 @@ func fmOnlyConfig() Config {
 }
 
 func TestBuildFMEquation2(t *testing.T) {
-	e := mustEngine(t, 3, fmOnlyConfig())
+	e := mustSharded(t, 3, 1, fmOnlyConfig())
 	// Peers 0 and 1 co-evaluate files a and b.
 	mustVote := func(p int, f eval.FileID, v float64) {
 		t.Helper()
@@ -124,7 +126,7 @@ func TestBuildFMEquation2(t *testing.T) {
 }
 
 func TestBuildFMRelativeSimilarity(t *testing.T) {
-	e := mustEngine(t, 3, fmOnlyConfig())
+	e := mustSharded(t, 3, 1, fmOnlyConfig())
 	mustVote := func(p int, f eval.FileID, v float64) {
 		t.Helper()
 		if err := e.Vote(p, f, v, 0); err != nil {
@@ -146,7 +148,7 @@ func TestBuildFMRelativeSimilarity(t *testing.T) {
 }
 
 func TestBuildFMDisjointEvaluationsNoEdge(t *testing.T) {
-	e := mustEngine(t, 2, fmOnlyConfig())
+	e := mustSharded(t, 2, 1, fmOnlyConfig())
 	if err := e.Vote(0, "a", 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -159,14 +161,14 @@ func TestBuildFMDisjointEvaluationsNoEdge(t *testing.T) {
 	}
 }
 
-// TestBuildFMWindowExpiry builds one bare engine at three times with no
+// TestBuildFMWindowExpiry builds one engine at three times with no
 // event in between. At 90 min only peer 2's vote is live, so its row
-// still reads file a: a build that reused the list derived at 30 min
+// still reads file a: a rebuild that kept the list derived at 30 min
 // would pair it with the expired votes of peers 0 and 1.
 func TestBuildFMWindowExpiry(t *testing.T) {
 	cfg := fmOnlyConfig()
 	cfg.Window = time.Hour
-	e := mustEngine(t, 3, cfg)
+	e := mustSharded(t, 3, 1, cfg)
 	for p, at := range []time.Duration{0, 0, 80 * time.Minute} {
 		if err := e.Vote(p, "a", 1, at); err != nil {
 			t.Fatal(err)
@@ -186,7 +188,7 @@ func TestBuildDMEquation4(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta, cfg.Gamma = 0, 1, 0
 	cfg.Blend = eval.Blend{Eta: 0, Rho: 1}
-	e := mustEngine(t, 3, cfg)
+	e := mustSharded(t, 3, 1, cfg)
 	// Peer 0 downloads from peers 1 and 2 and evaluates the files.
 	if err := e.RecordDownload(0, 1, "big", 1000, 0); err != nil {
 		t.Fatal(err)
@@ -213,7 +215,7 @@ func TestBuildDMEquation4(t *testing.T) {
 func TestBuildDMUnevaluatedUsesFloor(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta, cfg.Gamma = 0, 1, 0
-	e := mustEngine(t, 2, cfg)
+	e := mustSharded(t, 2, 1, cfg)
 	if err := e.RecordDownload(0, 1, "f", 100, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestBuildDMFakeFileEarnsNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta, cfg.Gamma = 0, 1, 0
 	cfg.Blend = eval.Blend{Eta: 0, Rho: 1}
-	e := mustEngine(t, 3, cfg)
+	e := mustSharded(t, 3, 1, cfg)
 	if err := e.RecordDownload(0, 1, "real", 100, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +254,7 @@ func TestBuildDMFakeFileEarnsNothing(t *testing.T) {
 func TestBuildUMAndBlacklist(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta, cfg.Gamma = 0, 0, 1
-	e := mustEngine(t, 4, cfg)
+	e := mustSharded(t, 4, 1, cfg)
 	if err := e.RateUser(0, 1, 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +280,7 @@ func TestAddFriendUsesConfiguredTrust(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta, cfg.Gamma = 0, 0, 1
 	cfg.FriendTrust = 0.8
-	e := mustEngine(t, 3, cfg)
+	e := mustSharded(t, 3, 1, cfg)
 	if err := e.AddFriend(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +296,7 @@ func TestAddFriendUsesConfiguredTrust(t *testing.T) {
 func TestBuildTMConvexIntegration(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Blend = eval.Blend{Eta: 0, Rho: 1}
-	e := mustEngine(t, 3, cfg)
+	e := mustSharded(t, 3, 1, cfg)
 	// Give peer 0 all three dimensions toward peer 1.
 	if err := e.Vote(0, "a", 1, 0); err != nil {
 		t.Fatal(err)
@@ -308,7 +310,7 @@ func TestBuildTMConvexIntegration(t *testing.T) {
 	if err := e.RateUser(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	tm, err := e.BuildTM(0)
+	tm, err := e.TM(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +324,7 @@ func TestBuildTMConvexIntegration(t *testing.T) {
 func TestBuildTMSubStochasticWhenDimensionMissing(t *testing.T) {
 	cfg := DefaultConfig() // α=0.5 β=0.3 γ=0.2
 	cfg.Blend = eval.Blend{Eta: 0, Rho: 1}
-	e := mustEngine(t, 2, cfg)
+	e := mustSharded(t, 2, 1, cfg)
 	// Only the file dimension exists.
 	if err := e.Vote(0, "a", 1, 0); err != nil {
 		t.Fatal(err)
@@ -330,7 +332,7 @@ func TestBuildTMSubStochasticWhenDimensionMissing(t *testing.T) {
 	if err := e.Vote(1, "a", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	tm, err := e.BuildTM(0)
+	tm, err := e.TM(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +345,7 @@ func TestReputationsMatchBuildRM(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Steps = 2
 	cfg.Blend = eval.Blend{Eta: 0, Rho: 1}
-	e := mustEngine(t, 4, cfg)
+	e := mustSharded(t, 4, 1, cfg)
 	// Chain of similarity 0→1→2 plus downloads 0→3.
 	files := []struct {
 		p int
@@ -363,7 +365,11 @@ func TestReputationsMatchBuildRM(t *testing.T) {
 	if err := e.RateUser(2, 0, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	rm, err := e.BuildRM(0)
+	tm, err := e.TM(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := tm.Pow(cfg.Steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +389,7 @@ func TestReputationsMatchBuildRM(t *testing.T) {
 func TestMultiTrustReachesFriendOfFriend(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta, cfg.Gamma = 0, 0, 1
-	e := mustEngine(t, 3, cfg)
+	e := mustSharded(t, 3, 1, cfg)
 	// 0 trusts 1, 1 trusts 2; no direct 0→2 edge.
 	if err := e.RateUser(0, 1, 1); err != nil {
 		t.Fatal(err)
@@ -398,8 +404,8 @@ func TestMultiTrustReachesFriendOfFriend(t *testing.T) {
 	if one[2] != 0 {
 		t.Fatalf("one-step reputation reached 2 hops: %v", one[2])
 	}
-	e2 := mustEngine(t, 3, cfg)
-	e2.cfg.Steps = 2
+	cfg.Steps = 2
+	e2 := mustSharded(t, 3, 1, cfg)
 	if err := e2.RateUser(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +424,7 @@ func TestMultiTrustReachesFriendOfFriend(t *testing.T) {
 func TestCompactPrunesIndex(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = time.Hour
-	e := mustEngine(t, 2, cfg)
+	e := mustSharded(t, 2, 1, cfg)
 	if err := e.Vote(0, "a", 1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +432,7 @@ func TestCompactPrunesIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Compact(3 * time.Hour)
-	if n := e.evaluators.fileCount(); n != 0 {
+	if n := e.eng.evaluators.fileCount(); n != 0 {
 		t.Fatalf("evaluator index not pruned: %d files", n)
 	}
 	if fm := dimCSR(t, e, dimFM, 3*time.Hour); fm.NNZ() != 0 {
@@ -435,7 +441,7 @@ func TestCompactPrunesIndex(t *testing.T) {
 }
 
 func TestEvaluationAccessor(t *testing.T) {
-	e := mustEngine(t, 2, DefaultConfig())
+	e := mustSharded(t, 2, 1, DefaultConfig())
 	if _, ok := e.Evaluation(0, "f", 0); ok {
 		t.Fatal("missing evaluation reported present")
 	}
@@ -454,7 +460,7 @@ func TestEvaluationAccessor(t *testing.T) {
 func TestMaxEvaluatorsPerFileCapsPairing(t *testing.T) {
 	cfg := fmOnlyConfig()
 	cfg.MaxEvaluatorsPerFile = 5
-	e := mustEngine(t, 50, cfg)
+	e := mustSharded(t, 50, 1, cfg)
 	// 40 peers agree on one file; uncapped this is 780 pairs, capped it
 	// is C(5,2) = 10.
 	for p := 0; p < 40; p++ {
@@ -486,7 +492,7 @@ func TestMaxEvaluatorsDeterministic(t *testing.T) {
 	build := func() []sparse.Entry {
 		cfg := fmOnlyConfig()
 		cfg.MaxEvaluatorsPerFile = 3
-		e := mustEngine(t, 30, cfg)
+		e := mustSharded(t, 30, 1, cfg)
 		for p := 0; p < 20; p++ {
 			if err := e.Vote(p, "f", float64(p)/20, 0); err != nil {
 				t.Fatal(err)

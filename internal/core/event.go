@@ -9,12 +9,13 @@ import (
 )
 
 // The engine's mutation surface is an event model: every state change is
-// expressed as a serializable Event and applied through ApplyEvent. The
-// public mutating methods (Vote, RecordDownload, …) are thin constructors
-// over it. This is what makes the engine journal-able — internal/journal
-// appends the encoded event to a write-ahead log before applying it, and
-// crash recovery replays the same events through the same code path, so a
-// restored engine is the engine that crashed.
+// expressed as a serializable Event and applied through Sharded's
+// ApplyEvent, ApplyBatch or ApplyShard. The public mutating methods
+// (Vote, RecordDownload, …) are thin constructors over it. This is what
+// makes the engine journal-able — internal/journal appends the encoded
+// event to a write-ahead log before applying it, and crash recovery
+// replays the same events through the same code path, so a restored
+// engine is the engine that crashed.
 
 // EventKind discriminates engine events. Values are part of the on-disk
 // journal format — append new kinds, never renumber.
@@ -145,34 +146,29 @@ func (b *BatchError) Error() string {
 // Unwrap exposes the per-event error for errors.Is/As.
 func (b *BatchError) Unwrap() error { return b.Err }
 
-// ApplyEvent applies one event to the engine. It is deterministic: the
-// same events applied in the same order to the same initial state produce
-// the same engine state, which is what journal replay depends on.
-func (e *Engine) ApplyEvent(ev Event) error {
-	return e.applyTo(ev, func(int, int) {})
-}
-
 // applyTo applies one event and reports the dimension rows it
 // invalidates through mark: an evaluation dirties the FM rows of the
 // file's co-evaluators and the evaluator's DM row, a download one DM
-// row, a rating or blacklisting one UM row. It is the shared mutation
-// path of the bare Engine and of Sharded, whose marker routes each row
-// to its owning shard's dirty tracker. Evidence mutations only ever
-// touch the acting peer's own rows (stores[I], downloads[I],
-// userTrust[I], blacklist[I]) plus the stripe-locked evaluator index,
-// which is what lets shards apply disjoint owners' events concurrently.
-func (e *Engine) applyTo(ev Event, mark markFunc) error {
+// row, a rating or blacklisting one UM row. It is Sharded's mutation
+// path, with a marker that routes each row to its owning shard's dirty
+// tracker. It is deterministic: the same events applied in the same
+// order to the same state reach the same state, which journal replay
+// depends on. Evidence mutations only ever touch the acting peer's own
+// rows (stores[I], downloads[I], userTrust[I], blacklist[I]) plus the
+// stripe-locked evaluator index, which is what lets shards apply
+// disjoint owners' events concurrently.
+func (e *engine) applyTo(ev Event, mark markFunc) error {
 	if err := ValidateEvent(e.n, ev); err != nil {
 		return err
 	}
 	switch ev.Kind {
 	case EventSetImplicit:
 		e.stores[ev.I].SetImplicit(ev.File, ev.Value, ev.Time)
-		e.indexEvaluator(ev.File, ev.I)
+		e.evaluators.add(ev.File, ev.I)
 		e.dirtyEvaluationTo(ev.I, ev.File, mark)
 	case EventVote:
 		e.stores[ev.I].Vote(ev.File, ev.Value, ev.Time)
-		e.indexEvaluator(ev.File, ev.I)
+		e.evaluators.add(ev.File, ev.I)
 		e.dirtyEvaluationTo(ev.I, ev.File, mark)
 	case EventDownload:
 		m := e.downloads[ev.I]

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mdrep/internal/eval"
-	"mdrep/internal/sparse"
 )
 
 // OwnerEvaluation is one owner's published evaluation of a file, as
@@ -102,30 +101,9 @@ type Judgement struct {
 	Fake bool
 }
 
-// JudgeFile computes peer i's judgement of a file from the owners'
-// published evaluations, using the engine's multi-trust reputations and
-// fake threshold. A file with no reachable evidence is Unknown, not fake:
-// the paper leaves the decision to a per-user threshold, and punishing
-// absent evidence would lock new files out of the system.
-func (e *Engine) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) (Judgement, error) {
-	reps, err := e.Reputations(i, now)
-	if err != nil {
-		return Judgement{}, err
-	}
-	return e.judgeWith(reps, owners)
-}
-
-// JudgeFileFromTM is JudgeFile against a prebuilt TM, amortising matrix
-// construction across many judgements.
-func (e *Engine) JudgeFileFromTM(tm *sparse.CSR, i int, owners []OwnerEvaluation) (Judgement, error) {
-	reps, err := tm.RowVecPow(i, e.cfg.Steps)
-	if err != nil {
-		return Judgement{}, err
-	}
-	return e.judgeWith(reps, owners)
-}
-
-func (e *Engine) judgeWith(reps map[int]float64, owners []OwnerEvaluation) (Judgement, error) {
+// judgeWith is the §3.3 verdict from row i of RM and the owners'
+// published evaluations.
+func (e *engine) judgeWith(reps map[int]float64, owners []OwnerEvaluation) (Judgement, error) {
 	ev, err := ownerEvidence(reps, owners)
 	if err != nil {
 		return Judgement{}, err
@@ -133,11 +111,10 @@ func (e *Engine) judgeWith(reps map[int]float64, owners []OwnerEvaluation) (Judg
 	return e.cfg.Judge(ev), nil
 }
 
-// CollectOwnerEvaluations gathers the live published evaluations of file f
-// from a set of owner peers out of the engine's own stores — the
-// simulation-side stand-in for retrieving EvaluationInfo records from the
-// DHT index peer.
-func (e *Engine) CollectOwnerEvaluations(f eval.FileID, owners []int, now time.Duration) []OwnerEvaluation {
+// collectOwnerEvaluations reads the owners' live evaluations of file f
+// from their stores, sorted by owner; Sharded.CollectOwnerEvaluations
+// holds every shard lock around it.
+func (e *engine) collectOwnerEvaluations(f eval.FileID, owners []int, now time.Duration) []OwnerEvaluation {
 	out := make([]OwnerEvaluation, 0, len(owners))
 	for _, o := range owners {
 		if e.checkPeer(o) != nil {

@@ -57,12 +57,12 @@ func TestFileReputationRejectsOutOfRange(t *testing.T) {
 
 // buildJudgingEngine wires 4 peers: requester 0 trusts honest peer 1
 // strongly (file similarity) while liar peer 2 has no similarity with 0.
-func buildJudgingEngine(t *testing.T) *Engine {
+func buildJudgingEngine(t *testing.T) *Sharded {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Alpha, cfg.Beta, cfg.Gamma = 1, 0, 0
 	cfg.Blend = eval.Blend{Eta: 0, Rho: 1}
-	e := mustEngine(t, 4, cfg)
+	e := mustSharded(t, 4, 1, cfg)
 	mustVote := func(p int, f eval.FileID, v float64) {
 		t.Helper()
 		if err := e.Vote(p, f, v, 0); err != nil {
@@ -120,7 +120,7 @@ func TestJudgeFileFromTMMatchesJudgeFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := e.BuildTM(0)
+	tm, err := e.TM(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestCollectOwnerEvaluations(t *testing.T) {
 func TestCollectOwnerEvaluationsHonoursWindow(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = time.Hour
-	e := mustEngine(t, 2, cfg)
+	e := mustSharded(t, 2, 1, cfg)
 	if err := e.Vote(0, "f", 0.9, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -428,18 +428,21 @@ func TestEvalIndexDropsChangedLists(t *testing.T) {
 // TestPairScratchGenerationWrap: a kept pair scratch's uint32
 // generation wraps after 2³² rows. Rows computed across the wrap, from
 // a fresh scratch and from one whose stamps hold generation 1, must
-// equal a bare build's.
+// equal the rows of a first build.
 func TestPairScratchGenerationWrap(t *testing.T) {
 	const n = 6
-	e := mustEngine(t, n, fmOnlyConfig())
+	s := mustSharded(t, n, 1, fmOnlyConfig())
 	for p := 0; p < n; p++ {
 		for k, f := range []eval.FileID{"a", "b", "c"} {
-			if err := e.Vote(p, f, float64((p*5+k*3)%7)/7, 0); err != nil {
+			if err := s.Vote(p, f, float64((p*5+k*3)%7)/7, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	want := e.buildDims(0)[dimFM]
+	if _, err := s.TM(0); err != nil {
+		t.Fatal(err)
+	}
+	want, e := s.dims[dimFM], s.eng
 	for _, warm := range []bool{false, true} {
 		sc := newPairScratch(n)
 		if warm {
@@ -531,7 +534,7 @@ func TestIncrementalCompactionInvalidates(t *testing.T) {
 
 // TestCachedTM pins the read-path cache contract: a hit returns the exact
 // frozen matrix of the last build, and any event or time change with a
-// live window misses; a rebuild that recomputed rows advances the epoch.
+// live window misses; a rebuild that recomputed rows patches a new TM.
 func TestCachedTM(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		cfg := DefaultConfig()
@@ -557,10 +560,8 @@ func TestCachedTM(t *testing.T) {
 		if _, ok := s.cachedTM(0); ok {
 			t.Fatal("cache hit after an event dirtied rows")
 		}
-		epoch := s.Epoch()
-		checkAllDims(t, s, 0, "rebuilt")
-		if s.Epoch() == epoch {
-			t.Fatal("epoch did not advance on a changed rebuild")
+		if checkAllDims(t, s, 0, "rebuilt") == tm {
+			t.Fatal("a rebuild that recomputed rows kept the old TM")
 		}
 	})
 }
@@ -588,7 +589,7 @@ func TestCachedTMWindowless(t *testing.T) {
 }
 
 // TestBuildTMStableAcrossNoOpRebuilds: a rebuild that finds nothing to
-// recompute returns the identical *sparse.CSR and keeps the epoch fixed.
+// recompute returns the identical *sparse.CSR.
 func TestBuildTMStableAcrossNoOpRebuilds(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		s := mustSharded(t, 4, k, DefaultConfig())
@@ -599,7 +600,6 @@ func TestBuildTMStableAcrossNoOpRebuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 		tm1 := checkAllDims(t, s, 0, "first")
-		epoch := s.Epoch()
 		// A later time misses the cache (the window is live) but expires
 		// nothing, so the rebuild has no dirty row.
 		tm2 := checkAllDims(t, s, time.Minute, "no-op")
@@ -608,9 +608,6 @@ func TestBuildTMStableAcrossNoOpRebuilds(t *testing.T) {
 		}
 		if tm1 != tm2 {
 			t.Fatal("no-op rebuild allocated a new TM")
-		}
-		if s.Epoch() != epoch {
-			t.Fatal("no-op rebuild advanced the epoch")
 		}
 	})
 }
@@ -685,7 +682,7 @@ func TestPatchGOMAXPROCSInvariance(t *testing.T) {
 // TestRestoredEngineMatchesOriginal: an engine restored from exported
 // shard states, and the original after restoring its own states over
 // warm caches, produce the reference matrices (the journal snapshot
-// contract), as does an Engine rebuilt from the exported state.
+// contract) and the same TM bits.
 func TestRestoredEngineMatchesOriginal(t *testing.T) {
 	forShards(t, func(t *testing.T, k int) {
 		rng := sim.NewRNG(223)
@@ -713,22 +710,11 @@ func TestRestoredEngineMatchesOriginal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		bare, err := NewEngineFromState(s.ExportState(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, at := range []time.Duration{now, now + 30*time.Minute, now + 3*time.Hour} {
 			label := fmt.Sprintf("restore at %v", at)
 			want := csrBytes(t, checkAllDims(t, s, at, label+"/original"))
 			if csrBytes(t, checkAllDims(t, restored, at, label)) != want {
 				t.Fatalf("%s: restored TM differs from the original's", label)
-			}
-			tm, err := bare.BuildTM(at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if csrBytes(t, tm) != want {
-				t.Fatalf("%s: Engine from exported state differs", label)
 			}
 		}
 	})

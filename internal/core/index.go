@@ -8,10 +8,9 @@ import (
 
 // evalIndex is the inverted file → evaluators index, striped by file hash
 // so concurrent shard writers (core.Sharded's per-shard apply paths) do
-// not serialise behind one map mutex. The bare Engine uses the same
-// index single-threaded; the stripe mutexes are then uncontended and cost
-// one atomic each, which keeps the two code paths literally identical —
-// the foundation of the shard-count invariance guarantee.
+// not serialise behind one map mutex. At K = 1 the stripe mutexes are
+// uncontended and cost one atomic each, so every shard count runs the
+// same code — the foundation of the shard-count invariance guarantee.
 //
 // Each file's entry also keeps the file's live-evaluator list, the one
 // FM rows pair up, from one rebuild to the next. One rule drops it:
@@ -19,7 +18,7 @@ import (
 // implicit evaluation, an expiry between builds, compaction — marks it
 // stale under the stripe lock, as do index add and prune and every case
 // that makes a rebuild a full build (the first build, time moving
-// backwards, a shard restore, every bare Engine build). A stale list is
+// backwards, a shard restore). A stale list is
 // derived again, at most once per rebuild, when a row first reads it.
 //
 // Lock ordering: stripe mutexes are acquired below shard data locks and
@@ -145,18 +144,6 @@ func (x *evalIndex) list(f eval.FileID, derive func(peers map[int]struct{}, dst 
 		s.derived++
 	}
 	return ent.live
-}
-
-// fileCount returns the number of indexed files.
-func (x *evalIndex) fileCount() int {
-	n := 0
-	for i := range x.stripes {
-		s := &x.stripes[i]
-		s.mu.Lock()
-		n += len(s.files)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // prune removes index entries for peers selected by owns whose evaluation

@@ -6,8 +6,8 @@ import (
 )
 
 // EngineObs is the trust core's metrics surface: per-dimension build
-// latency and dirty-row volume, TM patch (epoch bump) latency, and RM
-// build and reputation power-walk timing. Sharded emits the series
+// latency and dirty-row volume, TM patch latency and count, and
+// reputation power-walk timing. Sharded emits the series
 // through the nil-safe helpers below, so a core with a nil observer pays
 // one nil check per build step. The observer carries no
 // engine state, so attaching or detaching it cannot perturb replay
@@ -18,11 +18,10 @@ type EngineObs struct {
 
 	build   [3]*metrics.Histogram // engine_build_seconds{dim=fm|dm|um}, indexed by dimFM..dimUM
 	dirty   [3]*metrics.Counter   // engine_dirty_rows_total{dim=fm|dm|um}
-	buildRM *metrics.Histogram    // engine_build_seconds{dim=rm}
 	repWalk *metrics.Histogram    // Reputations row-walk latency
 
 	refreeze  *metrics.Histogram // TM patch (WeightedSum) latency
-	refreezes *metrics.Counter   // epoch bumps
+	refreezes *metrics.Counter   // rebuilds that patched TM
 }
 
 // NewEngineObs registers the engine metric families in reg and returns
@@ -45,7 +44,6 @@ func NewEngineObs(reg *metrics.Registry, clock obs.Clock) *EngineObs {
 			dimDM: reg.Counter("engine_dirty_rows_total", "dim", "dm"),
 			dimUM: reg.Counter("engine_dirty_rows_total", "dim", "um"),
 		},
-		buildRM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "rm"),
 		repWalk:   reg.Histogram("engine_reputation_walk_seconds", metrics.DurationBuckets),
 		refreeze:  reg.Histogram("engine_tm_refreeze_seconds", metrics.DurationBuckets),
 		refreezes: reg.Counter("engine_tm_refreeze_total"),
@@ -70,20 +68,12 @@ func (o *EngineObs) startRefreeze() obs.Span {
 	return o.tracer.Start(o.refreeze)
 }
 
-// refrozen ends a refreeze span and counts the epoch bump; nil-safe.
+// refrozen ends a refreeze span and counts the patch; nil-safe.
 func (o *EngineObs) refrozen(sp obs.Span) {
 	sp.End()
 	if o != nil {
 		o.refreezes.Inc()
 	}
-}
-
-// spanBuildRM opens an RM power-chain span; nil-safe.
-func (o *EngineObs) spanBuildRM() obs.Span {
-	if o == nil {
-		return obs.Span{}
-	}
-	return o.tracer.Start(o.buildRM)
 }
 
 // spanRepWalk starts a reputation-walk span; nil-safe so lock-free query

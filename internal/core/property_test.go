@@ -93,7 +93,7 @@ func TestEngineRowsSubStochastic(t *testing.T) {
 	f := func(seed uint16) bool {
 		r := rng.DeriveStream(fmt.Sprintf("case-%d", seed))
 		n := 4 + r.Intn(12)
-		e, err := NewEngine(n, DefaultConfig())
+		e, err := NewSharded(n, 1, DefaultConfig())
 		if err != nil {
 			return false
 		}
@@ -121,7 +121,7 @@ func TestEngineRowsSubStochastic(t *testing.T) {
 				}
 			}
 		}
-		tm, err := e.BuildTM(time.Duration(ops) * time.Minute)
+		tm, err := e.TM(time.Duration(ops) * time.Minute)
 		if err != nil {
 			return false
 		}
@@ -152,7 +152,7 @@ func TestReputationsNonNegativeAndBounded(t *testing.T) {
 	for _, steps := range []int{1, 2, 3} {
 		cfg := DefaultConfig()
 		cfg.Steps = steps
-		e, err := NewEngine(10, cfg)
+		e, err := NewSharded(10, 1, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

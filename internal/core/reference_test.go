@@ -24,7 +24,7 @@ import (
 //
 // then rows are normalised. Construction walks the inverted file index, so
 // cost is Σ_f |evaluators(f)|², the actual co-evaluation mass.
-func (e *Engine) buildFMRef(now time.Duration) []map[int]float64 {
+func (e *engine) buildFMRef(now time.Duration) []map[int]float64 {
 	type pairKey struct{ i, j int }
 	sums := make(map[pairKey]float64)
 	counts := make(map[pairKey]int)
@@ -87,7 +87,7 @@ func (e *Engine) buildFMRef(now time.Duration) []map[int]float64 {
 }
 
 // buildDMRef constructs the download-volume matrix (Eq. 4–5) from scratch.
-func (e *Engine) buildDMRef(now time.Duration) []map[int]float64 {
+func (e *engine) buildDMRef(now time.Duration) []map[int]float64 {
 	dm := make([]map[int]float64, e.n)
 	floor := e.cfg.Retention.Floor
 	for i, per := range e.downloads {
@@ -109,7 +109,7 @@ func (e *Engine) buildDMRef(now time.Duration) []map[int]float64 {
 }
 
 // buildUMRef constructs the user-based matrix (Eq. 6) from scratch.
-func (e *Engine) buildUMRef() []map[int]float64 {
+func (e *engine) buildUMRef() []map[int]float64 {
 	um := make([]map[int]float64, e.n)
 	for i, per := range e.userTrust {
 		for j, v := range per {
@@ -122,7 +122,7 @@ func (e *Engine) buildUMRef() []map[int]float64 {
 }
 
 // buildTMRef integrates the reference dimensions from scratch (Eq. 7).
-func (e *Engine) buildTMRef(now time.Duration) []map[int]float64 {
+func (e *engine) buildTMRef(now time.Duration) []map[int]float64 {
 	tm := make([]map[int]float64, e.n)
 	refAccumulate(tm, e.cfg.Alpha, e.buildFMRef(now))
 	refAccumulate(tm, e.cfg.Beta, e.buildDMRef(now))
@@ -194,6 +194,18 @@ func refEntries(rows []map[int]float64) []sparse.Entry {
 		}
 	}
 	return out
+}
+
+// fileCount returns the number of indexed files.
+func (x *evalIndex) fileCount() int {
+	n := 0
+	for i := range x.stripes {
+		s := &x.stripes[i]
+		s.mu.Lock()
+		n += len(s.files)
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // sortedFiles returns every indexed file ID in ascending order — the

@@ -28,9 +28,10 @@ import (
 // one per peer, written only by the row's owner shard. A rebuild
 // recomputes the rows its dirty trackers name and patches TM in the
 // rows dirty in some dimension, copying every other row from the
-// previous TM (Eq. 7 is row-local). The per-row float sequence is the
-// bare Engine's from-scratch build, so TM is byte-identical to
-// Engine.BuildTM for any K and any GOMAXPROCS.
+// previous TM (Eq. 7 is row-local). A row's float sequence depends only
+// on the evidence and the build time, so TM is byte-identical to a full
+// build at K = 1, and to the map reference builders of the tests, for
+// any K and any GOMAXPROCS.
 //
 // Shardability rests on an ownership invariant of the event model:
 // every evidence mutation of ApplyEvent touches only the acting peer's
@@ -53,11 +54,11 @@ import (
 //     acquired while one is held, so marks may be routed to any shard
 //     from under any data or stripe lock.
 //
-// Read paths (Reputations, JudgeFile, BuildRM) synchronise only on the
-// TM cache: a hit returns the immutable frozen CSR and the multi-trust
+// Read paths (Reputations, JudgeFile) synchronise only on the TM
+// cache: a hit returns the immutable frozen CSR and the multi-trust
 // walk runs without any lock.
 type Sharded struct {
-	eng *Engine // shared evidence container + row math; never used directly by callers
+	eng *engine // the evidence store and row math, guarded by the shard locks
 	k   int
 	// shardOf maps peer → owner shard (consistent hash, fixed at
 	// construction); owned lists each shard's peers ascending.
@@ -69,7 +70,6 @@ type Sharded struct {
 	// the version it was built at. Bumped while holding the owner
 	// shard's data lock, so under all data locks it is quiescent.
 	version atomic.Uint64
-	epoch   atomic.Uint64
 	tmCache atomic.Pointer[shardedTM]
 
 	// Build state below is guarded by rebuildMu (writers) and published
@@ -92,7 +92,7 @@ type Sharded struct {
 // shard is one partition's locks and dirty-row trackers. The zero-ish
 // state set up by NewSharded has every dimension all-dirty.
 type shard struct {
-	// mu guards the owned peers' evidence in the shared engine.
+	// mu guards the owned peers' evidence in the engine.
 	mu sync.Mutex
 	// dirtyMu guards the trackers below; it is a leaf lock.
 	dirtyMu sync.Mutex
@@ -126,14 +126,14 @@ func ShardIndex(p, k int) int {
 }
 
 // NewSharded builds a sharded engine for n peers across k shards.
-// k = 1 is a single shard, the default of every caller; it and every
-// larger k are byte-identical to the bare Engine on every output — the
-// shard-count invariance property test.
+// k = 1 is a single shard, the default of every caller; every larger k
+// gives the same bits on every output — the shard-count invariance
+// property test.
 func NewSharded(n, k int, cfg Config) (*Sharded, error) {
 	if k < 1 || k > MaxShards {
 		return nil, fmt.Errorf("core: shard count %d outside [1, %d]", k, MaxShards)
 	}
-	eng, err := NewEngine(n, cfg)
+	eng, err := newEngine(n, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -163,17 +163,13 @@ func NewSharded(n, k int, cfg Config) (*Sharded, error) {
 }
 
 // N returns the population size.
-func (s *Sharded) N() int { return s.eng.N() }
+func (s *Sharded) N() int { return s.eng.n }
 
 // K returns the shard count.
 func (s *Sharded) K() int { return s.k }
 
 // Config returns the engine configuration.
-func (s *Sharded) Config() Config { return s.eng.Config() }
-
-// Epoch counts the rebuilds that recomputed some dimension row; callers
-// use it to notice when cached per-peer reputation rows are stale.
-func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
+func (s *Sharded) Config() Config { return s.eng.cfg }
 
 // ShardOf returns peer p's owner shard.
 func (s *Sharded) ShardOf(p int) int { return int(s.shardOf[p]) }
@@ -333,7 +329,7 @@ func (s *Sharded) ApplyBatch(evs []Event) error {
 // journal replay path, where each shard's log replays independently. An
 // EventCompact in a shard log compacts only that shard's peers; the
 // union over all shard logs reproduces the global compaction (see
-// Engine.compactEvidence).
+// engine.compactEvidence).
 func (s *Sharded) ApplyShard(si int, ev Event) error {
 	if si < 0 || si >= s.k {
 		return fmt.Errorf("core: shard %d outside [0, %d)", si, s.k)
@@ -363,42 +359,54 @@ func (s *Sharded) ownsFunc(si int) func(p int) bool {
 	return func(p int) bool { return int(s.shardOf[p]) == si }
 }
 
-// SetImplicit mirrors Engine.SetImplicit.
+// SetImplicit records peer p's implicit (retention-derived) evaluation
+// of file f.
 func (s *Sharded) SetImplicit(p int, f eval.FileID, value float64, now time.Duration) error {
 	return s.ApplyEvent(Event{Kind: EventSetImplicit, I: p, File: f, Value: value, Time: now})
 }
 
-// ObserveRetention mirrors Engine.ObserveRetention.
+// ObserveRetention records an implicit evaluation computed from the
+// configured retention model.
 func (s *Sharded) ObserveRetention(p int, f eval.FileID, retention time.Duration, deleted bool, now time.Duration) error {
-	return s.SetImplicit(p, f, s.Config().Retention.Implicit(retention, deleted), now)
+	return s.SetImplicit(p, f, s.eng.cfg.Retention.Implicit(retention, deleted), now)
 }
 
-// Vote mirrors Engine.Vote.
+// Vote records peer p's explicit evaluation of file f.
 func (s *Sharded) Vote(p int, f eval.FileID, value float64, now time.Duration) error {
 	return s.ApplyEvent(Event{Kind: EventVote, I: p, File: f, Value: value, Time: now})
 }
 
-// RecordDownload mirrors Engine.RecordDownload.
+// RecordDownload registers that downloader fetched file f (size bytes)
+// from uploader; it feeds VD of Eq. (4). The evaluation weight E_ik is
+// resolved lazily when DM is built, so a later vote or retention update
+// retroactively re-weights the volume — sharing a file the downloader
+// ends up judging fake earns no download-volume trust.
 func (s *Sharded) RecordDownload(downloader, uploader int, f eval.FileID, size int64, now time.Duration) error {
 	return s.ApplyEvent(Event{Kind: EventDownload, I: downloader, J: uploader, File: f, Size: size, Time: now})
 }
 
-// RateUser mirrors Engine.RateUser.
+// RateUser records UT_ij = value (Eq. 6). Blacklisted targets stay at
+// zero.
 func (s *Sharded) RateUser(i, j int, value float64) error {
 	return s.ApplyEvent(Event{Kind: EventRateUser, I: i, J: j, Value: value})
 }
 
-// AddFriend mirrors Engine.AddFriend.
+// AddFriend assigns the configured friend-list trust to j (§3.1.3).
 func (s *Sharded) AddFriend(i, j int) error {
-	return s.RateUser(i, j, s.Config().FriendTrust)
+	return s.RateUser(i, j, s.eng.cfg.FriendTrust)
 }
 
-// Blacklist mirrors Engine.Blacklist.
+// Blacklist sets UT_ij to zero permanently for i's view of j (§3.1.3:
+// "the users in the blacklist … should be assigned with zero").
 func (s *Sharded) Blacklist(i, j int) error {
 	return s.ApplyEvent(Event{Kind: EventBlacklist, I: i, J: j})
 }
 
-// Compact mirrors Engine.Compact (stop-the-world, see ApplyEvent).
+// Compact drops expired evaluations from every store and prunes the
+// evaluator index; call it periodically in long runs. Compaction is an
+// event because it changes state: a journaled engine must replay it at
+// the same point in the sequence to reproduce the same matrices. It
+// runs stop-the-world (see ApplyEvent).
 func (s *Sharded) Compact(now time.Duration) {
 	_ = s.ApplyEvent(Event{Kind: EventCompact, Time: now})
 }
@@ -419,8 +427,11 @@ func (s *Sharded) cachedTM(now time.Duration) (*sparse.CSR, bool) {
 	return c.tm, true
 }
 
-// TM returns the frozen trust matrix at now, rebuilding per-shard in
-// parallel on a cache miss.
+// TM returns the frozen one-step trust matrix of Eq. (7) at now,
+// rebuilding per-shard in parallel on a cache miss. Rows of TM are
+// sub-stochastic when a peer lacks one of the dimensions; that is
+// intentional — missing evidence must not be re-weighted into false
+// confidence.
 func (s *Sharded) TM(now time.Duration) (*sparse.CSR, error) {
 	if tm, ok := s.cachedTM(now); ok {
 		return tm, nil
@@ -436,8 +447,8 @@ func (s *Sharded) TM(now time.Duration) (*sparse.CSR, error) {
 // list and derive only the stale ones. The first build, a build at an
 // earlier time and a build after RestoreShard mark every row dirty and
 // drop every list, which makes them full builds through the same code.
-// Each row's float sequence is that of Engine.BuildTM, so the result is
-// byte-identical for any K and any GOMAXPROCS.
+// Each row's float sequence depends only on the evidence and now, so
+// the result is byte-identical for any K and any GOMAXPROCS.
 func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
@@ -562,7 +573,6 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		return nil, err
 	}
 	s.tm = tm
-	s.epoch.Add(1)
 	s.obs.refrozen(rsp)
 	s.tmCache.Store(&shardedTM{tm: s.tm, now: now, version: ver})
 	return s.tm, nil
@@ -570,20 +580,9 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 
 // --- reads -------------------------------------------------------------------
 
-// BuildRM computes RM = TM^n (Eq. 8); the power chain runs outside any
-// lock.
-func (s *Sharded) BuildRM(now time.Duration) (*sparse.CSR, error) {
-	tm, err := s.TM(now)
-	if err != nil {
-		return nil, err
-	}
-	sp := s.obs.spanBuildRM()
-	rm, err := tm.Pow(s.Config().Steps)
-	sp.End()
-	return rm, err
-}
-
-// Reputations returns row i of RM. Only the TM fetch synchronises; the
+// Reputations returns row i of RM = TM^n (Eq. 8) — peer i's
+// multi-trust reputation view of every other peer — without
+// materialising the full power. Only the TM fetch synchronises; the
 // walk runs against the immutable snapshot.
 func (s *Sharded) Reputations(i int, now time.Duration) (map[int]float64, error) {
 	if err := s.eng.checkPeer(i); err != nil {
@@ -594,17 +593,18 @@ func (s *Sharded) Reputations(i int, now time.Duration) (map[int]float64, error)
 		return nil, err
 	}
 	sp := s.obs.spanRepWalk()
-	row, err := tm.RowVecPow(i, s.Config().Steps)
+	row, err := tm.RowVecPow(i, s.eng.cfg.Steps)
 	sp.End()
 	return row, err
 }
 
-// ReputationsFromTM runs the walk against a caller-held frozen matrix.
+// ReputationsFromTM runs the walk against a caller-held frozen matrix,
+// amortising matrix construction across many queries.
 func (s *Sharded) ReputationsFromTM(tm *sparse.CSR, i int) (map[int]float64, error) {
 	if err := s.eng.checkPeer(i); err != nil {
 		return nil, err
 	}
-	return tm.RowVecPow(i, s.Config().Steps)
+	return tm.RowVecPow(i, s.eng.cfg.Steps)
 }
 
 // Evaluation returns peer p's blended evaluation of f under the owner
@@ -619,8 +619,12 @@ func (s *Sharded) Evaluation(p int, f eval.FileID, now time.Duration) (float64, 
 	return s.eng.stores[p].Get(f, now)
 }
 
-// JudgeFile mirrors Engine.JudgeFile: reputations via the shared TM
-// path, then the threshold decision (pure, configuration-only).
+// JudgeFile computes peer i's judgement of a file from the owners'
+// published evaluations: reputations via the shared TM path, then the
+// threshold decision (pure, configuration-only). A file with no
+// reachable evidence is Unknown, not fake: the paper leaves the
+// decision to a per-user threshold, and punishing absent evidence would
+// lock new files out of the system.
 func (s *Sharded) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) (Judgement, error) {
 	reps, err := s.Reputations(i, now)
 	if err != nil {
@@ -629,33 +633,37 @@ func (s *Sharded) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) 
 	return s.eng.judgeWith(reps, owners)
 }
 
-// JudgeFileFromTM mirrors Engine.JudgeFileFromTM; no lock is held
-// during the walk.
+// JudgeFileFromTM is JudgeFile against a caller-held frozen matrix,
+// amortising matrix construction across many judgements; no lock is
+// held during the walk.
 func (s *Sharded) JudgeFileFromTM(tm *sparse.CSR, i int, owners []OwnerEvaluation) (Judgement, error) {
-	return s.eng.JudgeFileFromTM(tm, i, owners)
+	reps, err := tm.RowVecPow(i, s.eng.cfg.Steps)
+	if err != nil {
+		return Judgement{}, err
+	}
+	return s.eng.judgeWith(reps, owners)
 }
 
-// CollectOwnerEvaluations reads the owners' published evaluations
-// stop-the-world (owners may live on any shard).
+// CollectOwnerEvaluations gathers the live published evaluations of
+// file f from a set of owner peers, sorted by owner — the
+// simulation-side stand-in for retrieving EvaluationInfo records from
+// the DHT index peer. It reads stop-the-world, since owners may live on
+// any shard.
 func (s *Sharded) CollectOwnerEvaluations(f eval.FileID, owners []int, now time.Duration) []OwnerEvaluation {
 	s.lockAll()
 	defer s.unlockAll()
-	return s.eng.CollectOwnerEvaluations(f, owners, now)
-}
-
-// ExportState deep-copies the full engine state stop-the-world.
-func (s *Sharded) ExportState() *EngineState {
-	s.lockAll()
-	defer s.unlockAll()
-	return s.eng.ExportState()
+	return s.eng.collectOwnerEvaluations(f, owners, now)
 }
 
 // --- per-shard snapshot state ------------------------------------------------
 
 // ShardState is the serializable state of one shard's peers — the
-// per-shard snapshot unit of journal.OpenSharded. N, K and Shard pin
-// the population, shard count and shard index: a snapshot taken under
-// one partitioning must not restore into another.
+// engine's snapshot format, and the per-shard snapshot unit of
+// journal.OpenSharded. It captures everything an event can mutate;
+// configuration is not part of it, and neither is the evaluator index,
+// which a restore derives from the stores. N, K and Shard pin the
+// population, shard count and shard index: a snapshot taken under one
+// partitioning must not restore into another.
 type ShardState struct {
 	N     int         `json:"n"`
 	K     int         `json:"k"`
@@ -688,6 +696,8 @@ func (s *Sharded) ExportShardState(si int) (*ShardState, error) {
 		if per := full.downloads[p]; len(per) > 0 {
 			ps.Downloads = cloneLedgers(per)
 		}
+		// A rating map that blacklisting emptied exports as nil, the
+		// way it restores, so a round trip keeps the bytes.
 		if per := full.userTrust[p]; len(per) > 0 {
 			ps.UserTrust = maps.Clone(per)
 		}
@@ -707,9 +717,11 @@ func (s *Sharded) ExportShardState(si int) (*ShardState, error) {
 // RestoreShard replaces shard si's peers' evidence with a snapshot,
 // leaving every other shard untouched — the parallel-recovery path:
 // each shard restores its snapshot and replays its own journal tail
-// concurrently. Because restored evidence changes FM pairings of
-// co-evaluators on any shard, every shard's dimensions are marked
-// all-dirty and every kept evaluator list is dropped.
+// concurrently. A snapshot with a peer the shard does not own, or a
+// download, rating or blacklist target outside the population, is
+// refused before anything changes. Because restored evidence changes
+// FM pairings of co-evaluators on any shard, every shard's dimensions
+// are marked all-dirty and every kept evaluator list is dropped.
 func (s *Sharded) RestoreShard(si int, st *ShardState) error {
 	if si < 0 || si >= s.k {
 		return fmt.Errorf("core: shard %d outside [0, %d)", si, s.k)
@@ -721,30 +733,27 @@ func (s *Sharded) RestoreShard(si int, st *ShardState) error {
 		return fmt.Errorf("core: shard state (n=%d k=%d shard=%d) does not match engine (n=%d k=%d shard=%d)",
 			st.N, st.K, st.Shard, s.eng.n, s.k, si)
 	}
-	cfg := s.eng.cfg
+	owns := s.ownsFunc(si)
+	for _, ps := range st.Peers {
+		if p := ps.ID; p < 0 || p >= s.eng.n || !owns(p) {
+			return fmt.Errorf("core: peer %d in shard %d snapshot is not owned by it", p, si)
+		}
+		if err := s.eng.checkTargets(ps); err != nil {
+			return err
+		}
+	}
 	sh := &s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, p := range s.owned[si] {
-		store, err := eval.NewStore(cfg.Blend, cfg.Window)
-		if err != nil {
-			return err
-		}
-		s.eng.stores[p] = store
+		s.eng.stores[p].Import(nil)
 		s.eng.downloads[p] = nil
 		s.eng.userTrust[p] = nil
 		s.eng.blacklist[p] = nil
 	}
-	owns := s.ownsFunc(si)
 	s.eng.evaluators.prune(owns, func(int, eval.FileID) bool { return true })
 	for _, ps := range st.Peers {
-		p := ps.ID
-		if p < 0 || p >= s.eng.n || !owns(p) {
-			return fmt.Errorf("core: peer %d in shard %d snapshot is not owned by it", p, si)
-		}
-		if err := s.eng.restorePeer(ps); err != nil {
-			return err
-		}
+		s.eng.restorePeer(ps)
 	}
 	s.markAllDirty()
 	s.version.Add(1)

@@ -16,8 +16,6 @@ const (
 	goldenPeerState = `{"now":10800000000000,"records":{"alpha":{"Implicit":0.4,"Explicit":0.75,"Voted":true,"UpdatedAt":7200000000000},"beta":{"Implicit":0.1,"Explicit":0,"Voted":false,"UpdatedAt":10800000000000}},"down_by":{"2ebc080928836bafcc6bbec55f25b0b0":[{"file":"beta","size":77}],"bea0a40d08e5e0c654c5e1bff1eeef47":[{"file":"alpha","size":1048576},{"file":"gamma","size":4096},{"file":"alpha","size":12345}]},"ratings":{"bea0a40d08e5e0c654c5e1bff1eeef47":0.6},"banned":["67bef6a26deeb2399c406f72cdf7fec0"]}`
 
 	goldenShardState = `{"n":6,"k":2,"shard":0,"peers":[{"id":0,"store":{"alpha":{"Implicit":0,"Explicit":0.9,"Voted":true,"UpdatedAt":3600000000000},"beta":{"Implicit":0.35,"Explicit":0,"Voted":false,"UpdatedAt":7200000000000}},"downloads":{"3":[{"file":"alpha","size":1048576},{"file":"delta","size":512}],"5":[{"file":"beta","size":9}]},"user_trust":{"3":0.8},"blacklist":[5]},{"id":1,"downloads":{"4":[{"file":"eps","size":2}]}},{"id":3,"store":{"alpha":{"Implicit":0,"Explicit":0.2,"Voted":true,"UpdatedAt":3600000000000}},"downloads":{"1":[{"file":"alpha","size":300}]},"user_trust":{"0":0.5}},{"id":4,"downloads":{"2":[{"file":"eps","size":1}]},"blacklist":[1]},{"id":5}]}`
-
-	goldenEngineState = `{"n":6,"stores":[{"alpha":{"Implicit":0,"Explicit":0.9,"Voted":true,"UpdatedAt":3600000000000},"beta":{"Implicit":0.35,"Explicit":0,"Voted":false,"UpdatedAt":7200000000000}},{},{},{"alpha":{"Implicit":0,"Explicit":0.2,"Voted":true,"UpdatedAt":3600000000000}},{},{}],"downloads":[{"3":[{"file":"alpha","size":1048576},{"file":"delta","size":512}],"5":[{"file":"beta","size":9}]},{"4":[{"file":"eps","size":2}]},null,{"1":[{"file":"alpha","size":300}]},{"2":[{"file":"eps","size":1}]},null],"user_trust":[{"3":0.8},null,null,{"0":0.5},null,null],"blacklist":[[5],null,null,null,[1],null]}`
 )
 
 // TestSnapshotFormatGolden decodes each golden snapshot, re-encodes it,
@@ -63,15 +61,4 @@ func TestSnapshotFormatGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("restored core.ShardState", got, goldenShardState)
-
-	var es core.EngineState
-	if err := json.Unmarshal([]byte(goldenEngineState), &es); err != nil {
-		t.Fatal(err)
-	}
-	same("core.EngineState", &es, goldenEngineState)
-	e, err := core.NewEngineFromState(&es, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	same("restored core.EngineState", e.ExportState(), goldenEngineState)
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -116,11 +117,12 @@ func openOne(dir string, n int, cfg core.Config, jcfg Config) (*ShardedEngine, R
 // shard0 is the log directory of a one-shard journal in dir.
 func shard0(dir string) string { return filepath.Join(dir, shardDirName(0)) }
 
-// buildUninterrupted replays events into a plain in-memory engine — the
-// ground truth a recovered engine must match bit-for-bit.
-func buildUninterrupted(t *testing.T, n int, events []core.Event) *core.Engine {
+// buildUninterrupted replays events into an in-memory one-shard engine
+// that never saw a journal — the ground truth a recovered engine must
+// match bit-for-bit.
+func buildUninterrupted(t *testing.T, n int, events []core.Event) *core.Sharded {
 	t.Helper()
-	eng, err := core.NewEngine(n, testConfig())
+	eng, err := core.NewSharded(n, 1, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +134,34 @@ func buildUninterrupted(t *testing.T, n int, events []core.Event) *core.Engine {
 	return eng
 }
 
-// checkEnginesIdentical asserts bit-identical TM and RM and equal
-// exported state between two engines.
-func checkEnginesIdentical(t *testing.T, want *core.Engine, got *core.Sharded, now time.Duration) {
+// peersJSON joins every shard's exported peers in ascending ID and
+// encodes them: the engine's whole evidence, whatever its shard count.
+func peersJSON(t *testing.T, s *core.Sharded) string {
 	t.Helper()
-	if !reflect.DeepEqual(want.ExportState(), got.ExportState()) {
+	var peers []core.PeerState
+	for si := 0; si < s.K(); si++ {
+		st, err := s.ExportShardState(si)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, st.Peers...)
+	}
+	sort.Slice(peers, func(a, b int) bool { return peers[a].ID < peers[b].ID })
+	b, err := json.Marshal(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// checkEnginesIdentical asserts equal per-peer state and bit-identical
+// TM and RM = TM^Steps between two engines.
+func checkEnginesIdentical(t *testing.T, want, got *core.Sharded, now time.Duration) {
+	t.Helper()
+	if peersJSON(t, want) != peersJSON(t, got) {
 		t.Fatal("engine state diverged after recovery")
 	}
-	wantTM, err := want.BuildTM(now)
+	wantTM, err := want.TM(now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +172,12 @@ func checkEnginesIdentical(t *testing.T, want *core.Engine, got *core.Sharded, n
 	if !reflect.DeepEqual(wantTM.Entries(), gotTM.Entries()) {
 		t.Fatal("TM not bit-identical after recovery")
 	}
-	wantRM, err := want.BuildRM(now)
+	steps := want.Config().Steps
+	wantRM, err := wantTM.Pow(steps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRM, err := got.BuildRM(now)
+	gotRM, err := gotTM.Pow(steps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -40,15 +39,6 @@ func shardedScript(n, count int, seed int64) []core.Event {
 		}
 	}
 	return evs
-}
-
-func stateJSON(t *testing.T, st *core.EngineState) string {
-	t.Helper()
-	b, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // TestShardedJournalRecovery proves per-shard recovery is bit-identical:
@@ -92,7 +82,7 @@ func TestShardedJournalRecovery(t *testing.T) {
 	if err := e.ApplyBatch(shardedScript(n, 100, 4)); err != nil {
 		t.Fatal(err)
 	}
-	want := stateJSON(t, e.Core().ExportState())
+	want := peersJSON(t, e.Core())
 	wantSeq := e.Seq()
 	if err := e.Sync(); err != nil {
 		t.Fatal(err)
@@ -109,7 +99,7 @@ func TestShardedJournalRecovery(t *testing.T) {
 	if replayed != wantSeq {
 		t.Fatalf("replayed %d events across shards, want %d", replayed, wantSeq)
 	}
-	if got := stateJSON(t, e2.Core().ExportState()); got != want {
+	if got := peersJSON(t, e2.Core()); got != want {
 		t.Fatal("crash-recovered state differs from pre-crash state")
 	}
 	// Clean close snapshots every shard; reopen must replay nothing.
@@ -128,7 +118,7 @@ func TestShardedJournalRecovery(t *testing.T) {
 			t.Fatalf("shard %d recovered without its snapshot", si)
 		}
 	}
-	if got := stateJSON(t, e3.Core().ExportState()); got != want {
+	if got := peersJSON(t, e3.Core()); got != want {
 		t.Fatal("snapshot-recovered state differs")
 	}
 	if err := e3.Close(); err != nil {
@@ -253,7 +243,7 @@ func TestShardedJournalTruncationEveryOffset(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		expectAt[r] = stateJSON(t, s.ExportState())
+		expectAt[r] = peersJSON(t, s)
 	}
 	for off := int64(0); off <= size; off++ {
 		dir := filepath.Join(t.TempDir(), "copy")
@@ -270,7 +260,7 @@ func TestShardedJournalTruncationEveryOffset(t *testing.T) {
 		if r > len(victimEvents) {
 			t.Fatalf("offset %d: replayed %d > %d durable events", off, r, len(victimEvents))
 		}
-		if got := stateJSON(t, e2.Core().ExportState()); got != expectAt[r] {
+		if got := peersJSON(t, e2.Core()); got != expectAt[r] {
 			t.Fatalf("offset %d: recovered state does not match the %d-event prefix", off, r)
 		}
 		if err := e2.Close(); err != nil {
@@ -296,13 +286,13 @@ func TestShardedJournalGroupCommitDurable(t *testing.T) {
 	if err := e.ApplyBatch(evs); err != nil {
 		t.Fatal(err)
 	}
-	want := stateJSON(t, e.Core().ExportState())
+	want := peersJSON(t, e.Core())
 	// Crash without Sync or Close.
 	e2, _, err := OpenSharded(dir, n, k, cfg, jcfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stateJSON(t, e2.Core().ExportState()); got != want {
+	if got := peersJSON(t, e2.Core()); got != want {
 		t.Fatal("group-committed batch not durable after crash")
 	}
 	if err := e2.Close(); err != nil {

@@ -20,10 +20,10 @@ import (
 type tailProperty struct {
 	n       int
 	events  []core.Event
-	raw     []byte         // the pristine single-segment WAL
-	segName string         // file name the segment must keep
-	bounds  []int64        // bounds[k] = segment size after k events
-	want    []*core.Engine // want[k] = ground truth for events[:k]
+	raw     []byte          // the pristine single-segment WAL
+	segName string          // file name the segment must keep
+	bounds  []int64         // bounds[k] = segment size after k events
+	want    []*core.Sharded // want[k] = ground truth for events[:k]
 	jcfg    Config
 }
 
